@@ -535,6 +535,16 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit structured JSON")
@@ -546,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--max-candidates",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CANDIDATE_CAP,
         metavar="N",
         help="resource cap on enumeration candidates",

@@ -12,7 +12,9 @@ from .errors import ValidationError
 
 
 def as_int(value, what: str) -> int:
-    """Coerce to int, rejecting floats and other non-integral values."""
+    """Coerce to int, rejecting bools, floats and other non-integral values."""
+    if type(value) is bool:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
     try:
         return index(value)
     except TypeError as exc:
@@ -147,9 +149,11 @@ class WellFormednessFailure:
     shared_factor: int
 
 
-def well_formedness_failures(w: WeightSystem) -> tuple[WellFormednessFailure, ...]:
-    """Omit-one gcd failures, indices referring to the canonical order."""
-    ws = w.canonical
+def omit_one_gcds(ws: tuple[int, ...]) -> list[int]:
+    """gcd of all entries but the i-th, for each i, from prefix and suffix gcds.
+
+    The gcd of no entries is 0, so a single entry gives ``[0]``.
+    """
     m = len(ws)
     prefix = [0] * (m + 1)
     for i, a in enumerate(ws):
@@ -157,12 +161,16 @@ def well_formedness_failures(w: WeightSystem) -> tuple[WellFormednessFailure, ..
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = gcd(suffix[i + 1], ws[i])
-    out = []
-    for i in range(m):
-        g = gcd(prefix[i], suffix[i + 1])
-        if g != 1:
-            out.append(WellFormednessFailure(omitted_index=i, shared_factor=g))
-    return tuple(out)
+    return [gcd(prefix[i], suffix[i + 1]) for i in range(m)]
+
+
+def well_formedness_failures(w: WeightSystem) -> tuple[WellFormednessFailure, ...]:
+    """Omit-one gcd failures, indices referring to the canonical order."""
+    return tuple(
+        WellFormednessFailure(omitted_index=i, shared_factor=g)
+        for i, g in enumerate(omit_one_gcds(w.canonical))
+        if g != 1
+    )
 
 
 def is_well_formed(w: WeightSystem) -> bool:

@@ -26,7 +26,14 @@ def as_pairs(families):
     return [(f.degree, f.weights.canonical) for f in families]
 
 
-def brute_force_cy(dim, max_degree):
+def brute_force_cy(
+    dim,
+    max_degree,
+    *,
+    require_well_formed=True,
+    require_quasismooth=True,
+    exclude_linear_cones=True,
+):
     """Direct scan of every sorted weight tuple, public predicates only."""
     m = dim + 2
     out = []
@@ -35,11 +42,11 @@ def brute_force_cy(dim, max_degree):
         if d > max_degree:
             continue
         fam = HypersurfaceFamily.of(tuple(reversed(ws)), d)
-        if is_linear_cone(fam):
+        if exclude_linear_cones and is_linear_cone(fam):
             continue
-        if not is_well_formed(fam.weights):
+        if require_well_formed and not is_well_formed(fam.weights):
             continue
-        if not quasismooth_exists(fam).exists:
+        if require_quasismooth and not quasismooth_exists(fam).exists:
             continue
         out.append(fam)
     out.sort(key=lambda f: (f.degree, f.weights.canonical))
@@ -70,6 +77,22 @@ class TestAgainstBruteForce:
 
     def test_cy_dim0(self):
         assert as_pairs(census(0, max_degree=20)) == as_pairs(brute_force_cy(0, 20))
+
+    @pytest.mark.parametrize("dim, max_degree", [(0, 20), (1, 30), (2, 44), (3, 30)])
+    @pytest.mark.parametrize("well_formed", [True, False])
+    @pytest.mark.parametrize("quasismooth", [True, False])
+    @pytest.mark.parametrize("linear_cones", [True, False])
+    def test_cy_every_filter_combination(
+        self, dim, max_degree, well_formed, quasismooth, linear_cones
+    ):
+        switches = dict(
+            require_well_formed=well_formed,
+            require_quasismooth=quasismooth,
+            exclude_linear_cones=linear_cones,
+        )
+        got = as_pairs(census(dim, max_degree=max_degree, **switches))
+        assert got == as_pairs(brute_force_cy(dim, max_degree, **switches))
+        assert got
 
 
 class TestGenericSearch:
@@ -156,6 +179,15 @@ class TestResourceCap:
     def test_cy_cap(self):
         with pytest.raises(ResourceCapError):
             census(2, max_degree=300, candidate_cap=50)
+
+    def test_cy_cap_threshold(self):
+        # The raw candidates of this census number 2784 (smaller-weight
+        # tuples plus the leading weights the divisor pruning keeps); the
+        # tests that reject leads before any family is built do not lower
+        # that count.
+        assert len(census(2, max_degree=40, candidate_cap=2784)) == 87
+        with pytest.raises(ResourceCapError):
+            census(2, max_degree=40, candidate_cap=2783)
 
     def test_generic_cap(self):
         constraints = SearchConstraints(

@@ -144,6 +144,18 @@ class TestSymmetry:
         payload = run_json(capsys, "symmetry", path)
         assert payload["euler_identity"] is True
 
+    def test_bool_weights_rejected(self, capsys, tmp_path):
+        data = {
+            "weights": [True, True, True],
+            "degree": 4,
+            "monomials": [[4, 0, 0], [0, 4, 0], [0, 0, 4]],
+        }
+        path = write_support(tmp_path, "bools.json", data)
+        code, out, err = run(capsys, "symmetry", path)
+        assert code == 2
+        assert out == ""
+        assert "weight must be an integer, got True" in err
+
     def test_missing_field(self, capsys, tmp_path):
         path = write_support(tmp_path, "nofield.json", {"weights": [1, 1]})
         code, _, err = run(capsys, "symmetry", path)
@@ -289,3 +301,14 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["check", "--nope"]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5", "many"])
+    def test_max_candidates_must_be_positive(self, capsys, value):
+        for argv in (
+            ["check", "--weights", "36,31,30,25", "--degree", "180"],
+            ["enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "30"],
+        ):
+            code, out, err = run(capsys, *argv, "--max-candidates", value)
+            assert code == 2
+            assert out == ""
+            assert "--max-candidates" in err

@@ -7,6 +7,7 @@ from wph import (
     CanonicalKind,
     HypersurfaceFamily,
     LinearityVerdict,
+    PolynomialSupport,
     ValidationError,
     WeightSystem,
     aut_equals_lin,
@@ -35,6 +36,14 @@ class TestWeightSystem:
             WeightSystem([1, 0])
         with pytest.raises(ValidationError):
             HypersurfaceFamily.of([1, 1], 0)
+
+    def test_bools_are_not_integers(self):
+        with pytest.raises(ValidationError, match="weight must be an integer"):
+            WeightSystem([True, True, True])
+        with pytest.raises(ValidationError, match="degree must be an integer"):
+            HypersurfaceFamily.of([1, 1, 1], True)
+        with pytest.raises(ValidationError, match="exponent must be an integer"):
+            PolynomialSupport(HypersurfaceFamily.of([1, 1, 1], 1), [[True, 0, 0]])
 
     def test_degenerate_degree_allowed(self):
         # A degree below every weight is an empty family, not an error.
