@@ -32,6 +32,7 @@ from .monomials import (
 )
 from .quasismooth import is_linear_cone, quasismooth_exists
 from .symmetry import (
+    _order_modulo_scalars,
     distinguished_minor,
     fermat_prediction,
     fermat_support,
@@ -100,7 +101,10 @@ def _load_table(args) -> JordanTable:
 
 def _emit(payload: dict, args, renderer) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # Streamed: an indented dump of a large support would otherwise hold
+        # every encoded fragment and the joined text in memory at once.
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         renderer(payload)
 
@@ -275,15 +279,19 @@ def load_support_file(path: str | Path):
         if key not in data:
             raise ValidationError(f"support file is missing the {key!r} field")
     fam = HypersurfaceFamily(WeightSystem(data["weights"]), data["degree"])
+    if not isinstance(data["monomials"], list):
+        raise ValidationError("support file field 'monomials' must be a list of rows")
     support = PolynomialSupport(fam, data["monomials"])
-    poly = None
-    if "coefficients" in data and data["coefficients"] is not None:
-        try:
-            coeffs = [Fraction(str(c)) for c in data["coefficients"]]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad coefficient in support file: {exc}") from exc
-        poly = WeightedPolynomial.from_support(support, coeffs)
-    return support, poly
+    coefficients = data.get("coefficients")
+    if coefficients is None:
+        return support, None
+    if not isinstance(coefficients, list):
+        raise ValidationError("support file field 'coefficients' must be a list or null")
+    try:
+        coeffs = [Fraction(str(c)) for c in coefficients]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad coefficient in support file: {exc}") from exc
+    return support, WeightedPolynomial.from_support(support, coeffs)
 
 
 def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
@@ -293,7 +301,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
         "input": {
             "weights": list(fam.weights.original),
             "degree": fam.degree,
-            "monomials": [list(r) for r in support.rows],
+            "monomials": support.rows,
         },
         "fixing_group": _group_payload(group),
     }
@@ -308,7 +316,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
         report["lin_diagonal"] = {"order": None, "finite": False}
     else:
         report["lin_diagonal"] = {
-            "order": lin_diagonal_order(support),
+            "order": _order_modulo_scalars(group, fam.degree),
             "finite": True,
         }
     existence = monomial_existence_check(support)

@@ -76,8 +76,19 @@ class PolynomialSupport:
     def __init__(self, family: HypersurfaceFamily, rows: Iterable[Iterable[int]]):
         parsed = []
         weights = family.weights.original
-        for idx, row in enumerate(rows):
-            vec = tuple(as_int(e, f"row {idx} exponent") for e in row)
+        try:
+            indexed = enumerate(rows)
+        except TypeError as exc:
+            raise ValidationError(
+                f"support rows must be an iterable of exponent rows, got {rows!r}"
+            ) from exc
+        for idx, row in indexed:
+            try:
+                vec = tuple(as_int(e, f"row {idx} exponent") for e in row)
+            except TypeError as exc:
+                raise ValidationError(
+                    f"monomial row {idx} must be a sequence of exponents, got {row!r}"
+                ) from exc
             if len(vec) != len(weights):
                 raise ValidationError(
                     f"row {idx} has {len(vec)} exponents for {len(weights)} variables"

@@ -13,6 +13,14 @@ of the ambient space.
 All computations here stay in exact integer arithmetic; quotients are taken
 by rewriting generators in a lattice basis derived from the Smith normal form
 and running a second Smith reduction on the resulting integer matrix.
+
+Large supports are first compressed to an echelon basis of their row lattice
+L. Every row r has a.r = d, so L lies in the degree lattice
+Lambda = {v : a.v = 0 mod d}, of index d / gcd(d, a_0, ..., a_{m-1}). The
+compression stops as soon as its partial lattice L' has that index: then
+L' <= L <= Lambda with [Z^m : L'] = [Z^m : Lambda] forces L' = L = Lambda,
+and every remaining row would reduce to zero without changing a pivot, so the
+basis is the one the exhaustive pass returns.
 """
 
 from __future__ import annotations
@@ -102,16 +110,26 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _row_lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+def _row_lattice_basis(
+    rows: Sequence[Sequence[int]], ncols: int, index: int
+) -> list[list[int]]:
     """At most ``ncols`` rows generating the same row lattice as ``rows``.
 
     Incremental integer echelon: each incoming row is folded into the pivot
     rows with unimodular 2x2 combinations, so the generated lattice never
     changes and the working set stays small even for huge supports.
+
+    ``index`` is the index in Z^ncols of a lattice known to contain every
+    row (0 if none is known). Once the pivots are full rank and the absolute
+    product of their diagonal equals it, the partial lattice is that whole
+    lattice, every remaining row lies in it and would reduce to zero through
+    exact quotients alone, so the loop stops with the basis it would return
+    after the last row.
     """
     pivots: dict[int, list[int]] = {}
     for row in rows:
         v = list(row)
+        changed = False
         while True:
             p = next((j for j, x in enumerate(v) if x), None)
             if p is None:
@@ -119,6 +137,7 @@ def _row_lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[i
             b = pivots.get(p)
             if b is None:
                 pivots[p] = v
+                changed = True
                 break
             bp, vp = b[p], v[p]
             if vp % bp == 0:
@@ -130,15 +149,25 @@ def _row_lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[i
                 combined = [s * y + t * x for x, y in zip(v, b)]
                 v = [u1 * x - u2 * y for x, y in zip(v, b)]
                 b[:] = combined
+                changed = True
+        if changed and len(pivots) == ncols:
+            det = 1
+            for p, b in pivots.items():
+                det *= b[p]
+            if abs(det) == index:
+                break
     return [pivots[p] for p in sorted(pivots)]
 
 
-def _support_snf(p: PolynomialSupport):
-    """Smith data of the exponent matrix, compressing huge supports first."""
-    m = len(p.family.weights)
-    rows = p.rows
+def _support_snf(rows: Sequence[Sequence[int]], weights: Sequence[int], degree: int):
+    """Smith data of the exponent matrix, compressing huge supports first.
+
+    Every row must have weighted degree ``degree``; the compression relies on
+    it to stop early (see :func:`_row_lattice_basis`).
+    """
+    m = len(weights)
     if len(rows) > max(_COMPRESS_THRESHOLD_FACTOR * m, 16):
-        rows = _row_lattice_basis(rows, m)
+        rows = _row_lattice_basis(rows, m, degree // gcd(degree, *weights))
     return _snf_with_inverse(IntMatrix.from_rows(rows)), m
 
 
@@ -149,7 +178,9 @@ def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
     group (rank-deficient exponent matrix) is a first-class result with
     ``finite`` False and the positive ``free_rank`` recorded.
     """
-    (_, _, _, _, factors), m = _support_snf(p)
+    (_, _, _, _, factors), m = _support_snf(
+        p.rows, p.family.weights.original, p.family.degree
+    )
     return AbelianGroupStructure.from_factors(factors, free_rank=m - len(factors))
 
 
@@ -169,15 +200,18 @@ def lin_diagonal_order(p: PolynomialSupport) -> int | None:
             f"weights {weights} share the factor {g}; the scalar subgroup only has "
             f"order d for well-formed families"
         )
-    group = fixing_group(p)
+    return _order_modulo_scalars(fixing_group(p), p.family.degree)
+
+
+def _order_modulo_scalars(group: AbelianGroupStructure, degree: int) -> int | None:
+    """|group| / degree for the fixing group of coprime weights; None if infinite."""
     if not group.finite:
         return None
-    d = p.family.degree
-    if group.order % d != 0:
+    if group.order % degree != 0:
         raise InvariantViolationError(
-            f"fixing group order {group.order} not divisible by degree {d}"
+            f"fixing group order {group.order} not divisible by degree {degree}"
         )
-    return group.order // d
+    return group.order // degree
 
 
 def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
@@ -268,9 +302,7 @@ def forced_central_group(
         )
     wc = fam.weights.canonicalized()
     rows = enumerate_monomials(wc, fam.degree, cap=monomial_cap)
-    canonical_fam = HypersurfaceFamily(wc, fam.degree)
-    support = PolynomialSupport(canonical_fam, rows)
-    snf_data, m = _support_snf(support)
+    snf_data, m = _support_snf(rows, wc.original, fam.degree)
     factors = snf_data[4]
     if len(factors) < m:
         return AbelianGroupStructure((), None, False, m - len(factors))

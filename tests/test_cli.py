@@ -156,6 +156,28 @@ class TestSymmetry:
         assert out == ""
         assert "weight must be an integer, got True" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("monomials", 5, "'monomials' must be a list"),
+            ("monomials", [5], "monomial row 0 must be a sequence of exponents"),
+            ("coefficients", 5, "'coefficients' must be a list or null"),
+            ("coefficients", "12", "'coefficients' must be a list or null"),
+        ],
+    )
+    def test_wrong_json_types_rejected(self, capsys, tmp_path, field, value, message):
+        data = {
+            "weights": [1, 1, 1],
+            "degree": 4,
+            "monomials": [[4, 0, 0], [0, 4, 0], [0, 0, 4]],
+            field: value,
+        }
+        path = write_support(tmp_path, "types.json", data)
+        code, out, err = run(capsys, "symmetry", path)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_missing_field(self, capsys, tmp_path):
         path = write_support(tmp_path, "nofield.json", {"weights": [1, 1]})
         code, _, err = run(capsys, "symmetry", path)

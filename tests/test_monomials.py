@@ -83,6 +83,13 @@ class TestSupportValidation:
         with pytest.raises(ValidationError):
             PolynomialSupport(fam, [])
 
+    def test_non_iterable_rows_rejected(self):
+        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        with pytest.raises(ValidationError, match="iterable of exponent rows"):
+            PolynomialSupport(fam, 5)
+        with pytest.raises(ValidationError, match="monomial row 1"):
+            PolynomialSupport(fam, [[4, 0, 0], 5])
+
     def test_user_order_alignment(self):
         # weights in the user's order: (1, 3, 4); x_1 * x_2 has degree 7
         fam = HypersurfaceFamily.of([1, 3, 4], 7)

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -12,14 +12,17 @@ from wph import (
     ValidationError,
     WeightSystem,
     distinguished_minor,
+    enumerate_monomials,
     fermat_prediction,
     fermat_support,
     fixing_group,
     forced_central_group,
+    is_witness_row,
     lin_diagonal_order,
     lin_finiteness,
     smith_normal_form,
 )
+from wph.symmetry import _row_lattice_basis
 
 from conftest import count_fixing_tuples, random_finite_support
 
@@ -101,6 +104,106 @@ class TestFixingGroup:
         for f in direct.invariant_factors:
             prod *= f
         assert group.finite and group.order == prod
+
+
+def _lattice_oracle_check(support):
+    """Compressed fixing group against the uncompressed SNF and brute force.
+
+    Returns whether the compression stopped before the last row.
+    """
+    fam = support.family
+    ws, d, m = fam.weights.original, fam.degree, len(fam.weights)
+    rows = support.rows
+    assert _compressed(rows, m)
+    group = fixing_group(support)
+    direct = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
+    assert group.invariant_factors == tuple(f for f in direct if f > 1)
+    assert group.free_rank == m - len(direct)
+    if group.finite:
+        exponent = group.invariant_factors[-1] if group.invariant_factors else 1
+        if exponent ** m <= 500_000:
+            assert count_fixing_tuples(rows, exponent) == group.order
+    index = d // gcd(d, *ws)
+    pending = iter(rows)
+    basis = _row_lattice_basis(pending, m, index)
+    # Index 0 is never reached, so this call folds in every row.
+    assert basis == _row_lattice_basis(rows, m, 0)
+    return next(pending, None) is not None
+
+
+def _compressed(rows, m):
+    return len(rows) > max(4 * m, 16)
+
+
+def _random_graded_piece(rng, hi=400):
+    """Weights, degree and a whole graded piece large enough to compress."""
+    while True:
+        m = rng.randint(3, 5)
+        ws = [rng.randint(1, 6) for _ in range(m)]
+        d = rng.randint(max(ws), 40)
+        rows = enumerate_monomials(WeightSystem(ws), d)
+        if _compressed(rows, m) and len(rows) <= hi:
+            return ws, d, rows
+
+
+class TestLatticeExit:
+    """The compression's early exit against the exhaustive pass."""
+
+    def test_supports_spanning_the_degree_lattice(self):
+        rng = random.Random(4141)
+        checked = stopped = 0
+        while checked < 40:
+            ws, d, rows = _random_graded_piece(rng)
+            # The same rows in a family whose weights and degree share k,
+            # where the degree lattice has index d / k, in a shuffled order.
+            k = rng.choice((1, 1, 2, 3))
+            ws, d = [k * a for a in ws], k * d
+            rows = rng.sample(rows, len(rows))
+            fam = HypersurfaceFamily.of(ws, d)
+            if checked % 2:
+                rows = [
+                    r
+                    for r in rows
+                    if any(is_witness_row(r, i) for i in range(len(ws)))
+                    or rng.random() >= 1 / 3
+                ]
+                if not _compressed(rows, len(ws)):
+                    continue
+            direct = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
+            index = d // gcd(d, *ws)
+            if len(direct) < len(ws) or prod(direct) != index:
+                continue
+            stopped += _lattice_oracle_check(PolynomialSupport(fam, rows))
+            checked += 1
+        assert stopped == checked
+
+    def test_even_exponents_never_reach_the_degree_lattice(self):
+        rng = random.Random(4242)
+        for _ in range(15):
+            ws, d, rows = _random_graded_piece(rng)
+            fam = HypersurfaceFamily.of(ws, 2 * d)
+            doubled = [tuple(2 * e for e in r) for r in rows]
+            assert not _lattice_oracle_check(PolynomialSupport(fam, doubled))
+
+    def test_extra_diagonal_symmetry_never_reaches_the_degree_lattice(self):
+        # Monomials fixed by a random diagonal element of order k. Unless
+        # that element is a scalar, their lattice is a proper sublattice of
+        # the degree lattice; scalar draws are skipped below.
+        rng = random.Random(4343)
+        checked = 0
+        while checked < 15:
+            ws, d, rows = _random_graded_piece(rng, hi=1200)
+            k = rng.randint(2, 5)
+            theta = [rng.randrange(k) for _ in ws]
+            kept = [r for r in rows if sum(t * e for t, e in zip(theta, r)) % k == 0]
+            if not _compressed(kept, len(ws)):
+                continue
+            direct = smith_normal_form(IntMatrix.from_rows(kept)).invariant_factors
+            if len(direct) == len(ws) and prod(direct) == d // gcd(d, *ws):
+                continue
+            fam = HypersurfaceFamily.of(ws, d)
+            assert not _lattice_oracle_check(PolynomialSupport(fam, kept))
+            checked += 1
 
 
 class TestLinDiagonalOrder:
