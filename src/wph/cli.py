@@ -5,14 +5,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import chain
+from math import factorial
 from pathlib import Path
 
 from .bounds import (
     Finiteness,
     JordanTable,
+    _format_value,
     curve_bound,
     lin_finiteness,
     lin_order_bound,
@@ -77,18 +80,32 @@ _LINEARITY_TAGS = {
 }
 
 
-def _frac(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+_PLAIN_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _plain_int(text: str) -> int | None:
+    """The value of an optionally signed run of ASCII digits, else None.
+
+    ``int`` alone would also take underscores, surrounding blanks and
+    non-ASCII digits.
+    """
+    if not _PLAIN_INT.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        return None
 
 
 def _parse_weights(text: str) -> WeightSystem:
-    try:
-        parts = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"could not parse weights {text!r}: {exc}") from exc
+    parts = []
+    for tok in text.split(","):
+        value = _plain_int(tok)
+        if value is None:
+            raise ValidationError(
+                f"could not parse weights {text!r}: entry {tok!r} is not an integer"
+            )
+        parts.append(value)
     return WeightSystem(parts)
 
 
@@ -99,11 +116,67 @@ def _load_table(args) -> JordanTable:
     return JordanTable.default()
 
 
-def _emit(payload: dict, args, renderer) -> None:
+#: Rows of an integer matrix encoded at a time by :func:`_write_json`.
+_MATRIX_BLOCK_ROWS = 1024
+
+
+def _is_int_matrix(rows) -> bool:
+    """Are the non-empty ``rows`` non-empty lists or tuples of exact ints?"""
+    return (
+        set(map(type, rows)) <= {list, tuple}
+        and min(map(len, rows)) > 0
+        and set(map(type, chain.from_iterable(rows))) == {int}
+    )
+
+
+def _write_json(value, write, indent: str = "") -> None:
+    """Write ``value`` as ``json.dump(value, fp, indent=2, sort_keys=True)`` does.
+
+    With an indent the json module encodes element by element in Python.
+    Here dicts with string keys and non-empty lists recurse, and everything
+    else is one ``json.dumps`` call. An integer matrix, such as the support
+    echo, is encoded compactly by the C encoder in blocks of rows and then
+    re-indented by string replacement, which is exact because the compact
+    text holds nothing but digits, minus signs, commas and brackets.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{\n" + inner
+        for key in sorted(value):
+            write(sep + json.dumps(key) + ": ")
+            _write_json(value[key], write, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n" + inner
+        if _is_int_matrix(value):
+            entry = inner + "  "
+            entry_sep = ",\n" + entry
+            row_sep = "]" + entry_sep + "["
+            indented_row_sep = "\n" + inner + "],\n" + inner + "[\n" + entry
+            for start in range(0, len(value), _MATRIX_BLOCK_ROWS):
+                block = json.dumps(
+                    value[start : start + _MATRIX_BLOCK_ROWS], separators=(",", ":")
+                )
+                body = block[2:-2].replace(",", entry_sep).replace(row_sep, indented_row_sep)
+                write(sep + "[\n" + entry + body + "\n" + inner + "]")
+                sep = ",\n" + inner
+        else:
+            for item in value:
+                write(sep)
+                _write_json(item, write, inner)
+                sep = ",\n" + inner
+        write("\n" + indent + "]")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+
+
+def _emit(payload, args, renderer) -> None:
     if args.json:
-        # Streamed: an indented dump of a large support would otherwise hold
-        # every encoded fragment and the joined text in memory at once.
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        # The bytes of json.dump(payload, stdout, indent=2, sort_keys=True),
+        # without its element-by-element Python encoder (see _write_json).
+        # Written piece by piece, so a large support echo is never one string.
+        _write_json(payload, sys.stdout.write)
         sys.stdout.write("\n")
     else:
         renderer(payload)
@@ -175,8 +248,8 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
         try:
             bound = lin_order_bound(fam, table)
             report["order_bound"] = {
-                "weak_jordan": _frac(bound.weak_jordan),
-                "exact": _frac(bound.exact),
+                "weak_jordan": _format_value(bound.weak_jordan),
+                "exact": _format_value(bound.exact),
                 "floor": bound.floor,
             }
         except MissingJordanEntryError as exc:
@@ -305,9 +378,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
         },
         "fixing_group": _group_payload(group),
     }
-    weights_gcd = 0
-    for a in fam.weights.original:
-        weights_gcd = gcd(weights_gcd, a)
+    weights_gcd = fam.weights.gcd
     if weights_gcd != 1:
         report["lin_diagonal"] = {
             "unavailable": f"weights share the common factor {weights_gcd}"
@@ -339,7 +410,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
                 for ch in minor.chosen_rows
             ],
             "determinant": minor.determinant,
-            "bound": _frac(cap),
+            "bound": _format_value(cap),
             "bound_holds": 0 < minor.determinant <= cap,
         }
     else:
@@ -421,15 +492,15 @@ def cmd_enumerate(args) -> int:
         candidate_cap=args.max_candidates,
     )
     families = enumerate_families(constraints)
-    if args.json:
-        payload = [
-            {"degree": f.degree, "weights": list(f.weights.canonical)}
-            for f in families
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for f in families:
-            print(f"{f.degree} : {','.join(str(a) for a in f.weights.canonical)}")
+    payload = [
+        {"degree": f.degree, "weights": list(f.weights.canonical)} for f in families
+    ]
+
+    def render(p):
+        for f in p:
+            print(f"{f['degree']} : {','.join(str(a) for a in f['weights'])}")
+
+    _emit(payload, args, render)
     return 0
 
 
@@ -483,14 +554,14 @@ def cmd_bound(args) -> int:
         try:
             bound = lin_order_bound(fam, table)
             payload["order_bound"] = {
-                "weak_jordan": _frac(bound.weak_jordan),
-                "exact": _frac(bound.exact),
+                "weak_jordan": _format_value(bound.weak_jordan),
+                "exact": _format_value(bound.exact),
                 "floor": bound.floor,
             }
         except MissingJordanEntryError as exc:
             payload["order_bound"] = {"unavailable": str(exc)}
         payload["factorial_hypothesis_bound"] = {
-            "exact": _frac(hypothesis),
+            "exact": _format_value(hypothesis),
             "floor": hypothesis.__floor__(),
             "note": (
                 "(n+2)! * d^(n+1) / prod(weights); conjectural constant for "
@@ -500,7 +571,7 @@ def cmd_bound(args) -> int:
         if fam.n == 1:
             cb = curve_bound(fam)
             payload["curve_bound"] = {
-                "exact": _frac(cb.bound),
+                "exact": _format_value(cb.bound),
                 "floor": cb.bound.__floor__(),
                 "exceptions": [
                     {"name": e.name, "group": e.group, "order": e.order}
@@ -543,14 +614,18 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    value = _plain_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    value = _plain_int(text)
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[shared], help="classify a (weights, degree) family"
     )
     p_check.add_argument("--weights", required=True, help="comma-separated weights")
-    p_check.add_argument("--degree", required=True, type=int)
+    p_check.add_argument("--degree", required=True, type=_int_arg)
     p_check.set_defaults(func=cmd_check)
 
     p_sym = sub.add_parser(
@@ -595,13 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser(
         "enumerate", parents=[shared], help="enumerate families under constraints"
     )
-    p_enum.add_argument("--dim", required=True, type=int, help="hypersurface dimension n")
+    p_enum.add_argument("--dim", required=True, type=_int_arg, help="hypersurface dimension n")
     p_enum.add_argument(
         "--canonical", choices=sorted(_KIND_FLAGS), default=None,
         help="canonical class filter",
     )
-    p_enum.add_argument("--max-degree", type=int, default=300)
-    p_enum.add_argument("--max-weight", type=int, default=None)
+    p_enum.add_argument("--max-degree", type=_int_arg, default=300)
+    p_enum.add_argument("--max-weight", type=_int_arg, default=None)
     p_enum.add_argument("--no-well-formed", action="store_true")
     p_enum.add_argument("--no-quasismooth", action="store_true")
     p_enum.add_argument("--allow-linear-cones", action="store_true")
@@ -610,15 +685,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fermat = sub.add_parser(
         "fermat", parents=[shared], help="Fermat hypersurface symmetry prediction"
     )
-    p_fermat.add_argument("--dim", required=True, type=int)
-    p_fermat.add_argument("--degree", required=True, type=int)
+    p_fermat.add_argument("--dim", required=True, type=_int_arg)
+    p_fermat.add_argument("--degree", required=True, type=_int_arg)
     p_fermat.set_defaults(func=cmd_fermat)
 
     p_bound = sub.add_parser(
         "bound", parents=[shared], help="order bounds for the linear automorphism group"
     )
     p_bound.add_argument("--weights", required=True, help="comma-separated weights")
-    p_bound.add_argument("--degree", required=True, type=int)
+    p_bound.add_argument("--degree", required=True, type=_int_arg)
     p_bound.set_defaults(func=cmd_bound)
     return parser
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import methodcaller, mul
 from typing import Iterable, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -64,6 +66,66 @@ def enumerate_monomials(
     return out
 
 
+def _plain_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...] | None:
+    """The rows as tuples if they are valid and plain, else None.
+
+    Accepts only a non-empty list or tuple of lists or tuples of exact ints
+    (no bools, no int subclasses) and checks everything in whole-support
+    passes that run in C: length, sign, weighted degree and distinctness.
+    Anything else, valid or not, is left to :func:`_checked_rows`, which
+    accepts the same supports and names the first defect.
+    """
+    if type(rows) not in (list, tuple) or not rows:
+        return None
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return None
+    if set(map(len, rows)) != {len(weights)} or min(chain.from_iterable(rows)) < 0:
+        return None
+    if set(map(sum, map(map, repeat(mul), repeat(weights), rows))) != {degree}:
+        return None
+    vecs = tuple(map(tuple, rows))
+    if len(set(vecs)) != len(vecs):
+        return None
+    return vecs
+
+
+def _checked_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...]:
+    """Validate the rows one at a time; raises ValidationError on the first defect."""
+    parsed = []
+    try:
+        indexed = enumerate(rows)
+    except TypeError as exc:
+        raise ValidationError(
+            f"support rows must be an iterable of exponent rows, got {rows!r}"
+        ) from exc
+    for idx, row in indexed:
+        try:
+            vec = tuple(as_int(e, f"row {idx} exponent") for e in row)
+        except TypeError as exc:
+            raise ValidationError(
+                f"monomial row {idx} must be a sequence of exponents, got {row!r}"
+            ) from exc
+        if len(vec) != len(weights):
+            raise ValidationError(
+                f"row {idx} has {len(vec)} exponents for {len(weights)} variables"
+            )
+        if any(e < 0 for e in vec):
+            raise ValidationError(f"row {idx} has a negative exponent: {vec}")
+        deg = weighted_degree(weights, vec)
+        if deg != degree:
+            raise ValidationError(
+                f"row {idx} {vec} has weighted degree {deg}, expected {degree}"
+            )
+        parsed.append(vec)
+    if not parsed:
+        raise ValidationError("support must contain at least one monomial")
+    if len(set(parsed)) != len(parsed):
+        raise ValidationError("support rows must be distinct")
+    return tuple(parsed)
+
+
 class PolynomialSupport:
     """The set of exponent vectors of an explicit polynomial in a family.
 
@@ -74,39 +136,12 @@ class PolynomialSupport:
     __slots__ = ("family", "rows")
 
     def __init__(self, family: HypersurfaceFamily, rows: Iterable[Iterable[int]]):
-        parsed = []
         weights = family.weights.original
-        try:
-            indexed = enumerate(rows)
-        except TypeError as exc:
-            raise ValidationError(
-                f"support rows must be an iterable of exponent rows, got {rows!r}"
-            ) from exc
-        for idx, row in indexed:
-            try:
-                vec = tuple(as_int(e, f"row {idx} exponent") for e in row)
-            except TypeError as exc:
-                raise ValidationError(
-                    f"monomial row {idx} must be a sequence of exponents, got {row!r}"
-                ) from exc
-            if len(vec) != len(weights):
-                raise ValidationError(
-                    f"row {idx} has {len(vec)} exponents for {len(weights)} variables"
-                )
-            if any(e < 0 for e in vec):
-                raise ValidationError(f"row {idx} has a negative exponent: {vec}")
-            deg = weighted_degree(weights, vec)
-            if deg != family.degree:
-                raise ValidationError(
-                    f"row {idx} {vec} has weighted degree {deg}, expected {family.degree}"
-                )
-            parsed.append(vec)
-        if not parsed:
-            raise ValidationError("support must contain at least one monomial")
-        if len(set(parsed)) != len(parsed):
-            raise ValidationError("support rows must be distinct")
+        vecs = _plain_rows(rows, weights, family.degree)
+        if vecs is None:
+            vecs = _checked_rows(rows, weights, family.degree)
         self.family = family
-        self.rows = tuple(parsed)
+        self.rows = vecs
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -150,19 +185,44 @@ def is_witness_row(row: Sequence[int], variable: int) -> bool:
     return True
 
 
+def witness_rows(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | None]]]:
+    """Each variable's witness rows as (row, companion), in support order.
+
+    These are the rows :func:`is_witness_row` accepts: x_i^k with companion
+    None, and x_i^k * x_j with companion j. One pass over the support finds
+    them for every variable; a row with three or more nonzero exponents is
+    skipped on its count of zeros alone.
+    """
+    m = len(p.family.weights)
+    found: list[list[tuple[ExponentVector, int | None]]] = [[] for _ in range(m)]
+    few_nonzero = map((m - 2).__le__, map(methodcaller("count", 0), p.rows))
+    for row in compress(p.rows, few_nonzero):
+        nonzero = [j for j, e in enumerate(row) if e]
+        if len(nonzero) == 1:
+            found[nonzero[0]].append((row, None))
+        elif len(nonzero) == 2:
+            i, j = nonzero
+            if row[j] == 1:
+                found[i].append((row, j))
+            if row[i] == 1:
+                found[j].append((row, i))
+    return found
+
+
 def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
     """Per-variable necessary condition for quasismoothness of an explicit member.
 
     A quasismooth polynomial must contain, for each variable i, a monomial of
     shape x_i^k or x_i^k * x_j; otherwise all partial derivatives vanish at
-    the i-th coordinate point of the affine cone.
+    the i-th coordinate point of the affine cone. The witness reported is the
+    first such row of the support.
     """
-    witnesses = []
-    m = len(p.family.weights)
-    for i in range(m):
-        found = next((row for row in p.rows if is_witness_row(row, i)), None)
-        witnesses.append(VariableWitness(variable=i, witness=found))
-    return MonomialExistenceReport(witnesses=tuple(witnesses))
+    return MonomialExistenceReport(
+        witnesses=tuple(
+            VariableWitness(variable=i, witness=rows[0][0] if rows else None)
+            for i, rows in enumerate(witness_rows(p))
+        )
+    )
 
 
 class WeightedPolynomial:

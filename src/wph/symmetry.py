@@ -41,7 +41,7 @@ from .monomials import (
     ExponentVector,
     PolynomialSupport,
     enumerate_monomials,
-    is_witness_row,
+    witness_rows,
 )
 from .quasismooth import quasismooth_exists
 from .weights import HypersurfaceFamily, WeightSystem
@@ -192,9 +192,7 @@ def lin_diagonal_order(p: PolynomialSupport) -> int | None:
     well-formedness guarantees. The result is then |fixing group| / d.
     """
     weights = p.family.weights.original
-    g = 0
-    for a in weights:
-        g = gcd(g, a)
+    g = p.family.weights.gcd
     if g != 1:
         raise ValidationError(
             f"weights {weights} share the factor {g}; the scalar subgroup only has "
@@ -227,22 +225,16 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
     m = len(weights)
     picked_rows: list[ExponentVector] = []
     choices: list[MinorChoice] = []
-    for i in range(m):
-        candidates = []
-        for row in p.rows:
-            if not is_witness_row(row, i):
-                continue
-            companion = next((j for j, e in enumerate(row) if j != i and e), None)
-            candidates.append((row, row[i], companion))
+    for i, candidates in enumerate(witness_rows(p)):
         if not candidates:
             raise MissingWitnessError(i)
-        pure = [c for c in candidates if c[2] is None]
+        pure = [c for c in candidates if c[1] is None]
         if pure:
-            row, b, companion = pure[0]
+            row, companion = pure[0]
         else:
-            row, b, companion = max(candidates, key=lambda c: (c[1], -c[2]))
+            row, companion = max(candidates, key=lambda c: (c[0][i], -c[1]))
         picked_rows.append(row)
-        choices.append(MinorChoice(variable=i, exponent=b, companion=companion))
+        choices.append(MinorChoice(variable=i, exponent=row[i], companion=companion))
     B = IntMatrix.from_rows(picked_rows)
     det = integer_determinant(B)
     if lin_finiteness(p.family).finite:

@@ -51,6 +51,11 @@ class WeightSystem:
         """Dimension of a hypersurface in the associated projective space."""
         return len(self.original) - 2
 
+    @property
+    def gcd(self) -> int:
+        """Greatest common divisor of the weights; 1 when they share no factor."""
+        return gcd(*self.original)
+
     def canonicalized(self) -> "WeightSystem":
         """The same weights with the canonical order as the stored order."""
         return WeightSystem(self.canonical)

@@ -1,8 +1,10 @@
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wph.cli import main
+from wph.cli import _write_json, main
 
 
 def run(capsys, *argv):
@@ -334,3 +336,108 @@ class TestUsage:
             assert code == 2
             assert out == ""
             assert "--max-candidates" in err
+
+
+class TestIntegerFlags:
+    """Integer flags and --weights take optionally signed ASCII digits only."""
+
+    @pytest.mark.parametrize(
+        "weights, token",
+        [
+            ("3_6,31,30,25", "'3_6'"),
+            ("36,,31,30,25", "''"),
+            ("36,31,30,25,", "''"),
+            ("36, 31,30,25", "' 31'"),
+            ("\uff13\uff16,31,30,25", "'\uff13\uff16'"),
+            ("36,31,30,0x19", "'0x19'"),
+            ("a,b", "'a'"),
+        ],
+    )
+    def test_weights(self, capsys, weights, token):
+        for command in ("check", "bound"):
+            code, out, err = run(capsys, command, "--weights", weights, "--degree", "180")
+            assert code == 2
+            assert out == ""
+            assert f"entry {token} is not an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag, token",
+        [
+            (["check", "--weights", "36,31,30,25", "--degree", "1_80"], "--degree", "1_80"),
+            (["bound", "--weights", "36,31,30,25", "--degree", "180 "], "--degree", "180 "),
+            (["fermat", "--dim", "\u0662", "--degree", "4"], "--dim", "\u0662"),
+            (["fermat", "--dim", "2", "--degree", "4.0"], "--degree", "4.0"),
+            (["enumerate", "--dim", "1", "--max-degree", " 1_2"], "--max-degree", " 1_2"),
+            (["enumerate", "--dim", "1", "--max-weight", "1e3"], "--max-weight", "1e3"),
+            (["enumerate", "--dim", "one"], "--dim", "one"),
+            (["enumerate", "--dim", "1", "--max-candidates", "1_000"], "--max-candidates", "1_000"),
+        ],
+    )
+    def test_flags(self, capsys, argv, flag, token):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be an integer" in err
+        assert repr(token) in err
+
+    def test_signs_and_leading_zeros_still_parse(self, capsys):
+        plain = run(capsys, "bound", "--weights", "36,31,30,25", "--degree", "180")
+        signed = run(capsys, "bound", "--weights", "+36,031,30,25", "--degree", "+0180")
+        assert plain[0] == 0 and signed == plain
+        code, _, err = run(capsys, "check", "--weights", "36,-31,30,25", "--degree", "180")
+        assert code == 2 and "weights must be positive" in err
+
+
+def _indented(value) -> str:
+    buf = io.StringIO()
+    _write_json(value, buf.write)
+    return buf.getvalue()
+
+
+_ints = st.integers(min_value=-(2**80), max_value=2**80)
+_text = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\r", "\u00e9\u6f22\U0001f600", ""]),
+)
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _text, st.floats(allow_nan=False))
+_matrices = st.lists(
+    st.one_of(
+        st.lists(_ints, min_size=1, max_size=5),
+        st.lists(_ints, min_size=1, max_size=5).map(tuple),
+        st.lists(st.one_of(_ints, st.booleans()), min_size=1, max_size=5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_values = st.recursive(
+    st.one_of(_scalars, _matrices),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestIndentedWriter:
+    """``_write_json`` writes what ``json.dumps(indent=2, sort_keys=True)`` does."""
+
+    @settings(max_examples=200)
+    @given(_values)
+    def test_matches_json_dumps(self, value):
+        assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2048, 2049, 3000])
+    def test_large_matrices_across_blocks(self, rows):
+        matrix = [[(i * 7 + j) % 11 - 3 for j in range(1 + i % 4)] for i in range(rows)]
+        for value in (matrix, tuple(map(tuple, matrix)), {"m": matrix, "n": [matrix, 5]}):
+            assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_matrix_with_bools_and_empty_rows(self):
+        for value in ([[1, True], [0]], [[1], []], [[2**70, -(2**70)]], [[]], [[1.5, 2]]):
+            assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_non_string_keys_fall_back(self):
+        value = {"a": {1: [1, 2], 2: None}, "b": {None: 1}}
+        assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)

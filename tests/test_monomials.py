@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wph import (
     HypersurfaceFamily,
@@ -17,6 +17,8 @@ from wph import (
     monomial_existence_check,
     partial_derivative,
 )
+
+from wph.monomials import _checked_rows, _plain_rows
 
 from conftest import random_weighted_polynomial, series_dimensions
 
@@ -95,6 +97,125 @@ class TestSupportValidation:
         fam = HypersurfaceFamily.of([1, 3, 4], 7)
         support = PolynomialSupport(fam, [[0, 1, 1], [7, 0, 0], [3, 0, 1]])
         assert len(support) == 3
+
+
+class _Index:
+    """An integer type that is not an int: it only has ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _random_rows(rng: random.Random) -> tuple[HypersurfaceFamily, list[list[int]]]:
+    """A shuffled random subset of a nonempty graded piece, as lists."""
+    while True:
+        ws = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+        d = rng.randint(1, 24)
+        piece = enumerate_monomials(WeightSystem(ws), d)
+        if piece:
+            break
+    rows = [list(r) for r in rng.sample(piece, rng.randint(1, len(piece)))]
+    return HypersurfaceFamily.of(ws, d), rows
+
+
+def _inject(rng: random.Random, rows: list, kind: str) -> list:
+    """``rows`` with one defect of the given kind at a random place."""
+    rows = [list(r) for r in rows]
+    k = rng.randrange(len(rows))
+    j = rng.randrange(len(rows[k]))
+    if kind == "bool":
+        rows[k][j] = rng.choice([True, False])
+    elif kind == "float":
+        rows[k][j] = float(rows[k][j])
+    elif kind == "str":
+        rows[k][j] = str(rows[k][j])
+    elif kind == "negative":
+        rows[k][j] = -1 - rows[k][j]
+    elif kind == "length":
+        rows[k] = rows[k] + [0] if rng.random() < 0.5 else rows[k][:-1]
+    elif kind == "degree":
+        rows[k][j] += 1
+    elif kind == "duplicate":
+        rows.insert(k, list(rows[rng.randrange(len(rows))]))
+    elif kind == "empty":
+        rows = []
+    elif kind == "non-iterable":
+        rows[k] = rng.choice([5, None, 2.5])
+    return rows
+
+
+def _error_text(fam, rows) -> str:
+    with pytest.raises(ValidationError) as info:
+        PolynomialSupport(fam, rows)
+    return str(info.value)
+
+
+class TestSupportPaths:
+    """The bulk validation and the row-by-row loop agree on every support.
+
+    An iterator of rows always takes the row-by-row loop, a list of lists
+    of ints the bulk passes, which hand any defect on to the loop.
+    """
+
+    def test_valid_supports_take_the_bulk_path(self):
+        rng = random.Random(515)
+        for _ in range(200):
+            fam, rows = _random_rows(rng)
+            ws, d = fam.weights.original, fam.degree
+            bulk = _plain_rows(rows, ws, d)
+            assert bulk is not None
+            assert bulk == _checked_rows(iter(rows), ws, d)
+            assert bulk == _plain_rows(tuple(map(tuple, rows)), ws, d)
+            assert PolynomialSupport(fam, rows).rows == bulk
+            assert PolynomialSupport(fam, iter(rows)).rows == bulk
+
+    def test_index_ints_accepted_by_both(self):
+        rng = random.Random(516)
+        for _ in range(50):
+            fam, rows = _random_rows(rng)
+            expected = PolynomialSupport(fam, rows).rows
+            wrapped = [[_Index(e) for e in row] for row in rows]
+            for given_rows in (wrapped, iter(wrapped)):
+                got = PolynomialSupport(fam, given_rows).rows
+                assert got == expected
+                assert all(type(e) is int for row in got for e in row)
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(
+            ["bool", "float", "str", "negative", "length", "degree", "duplicate",
+             "empty", "non-iterable"]
+        ),
+    )
+    def test_each_defect_same_error_on_both_paths(self, seed, kind):
+        rng = random.Random(seed)
+        fam, rows = _random_rows(rng)
+        bad = _inject(rng, rows, kind)
+        assert _plain_rows(bad, fam.weights.original, fam.degree) is None
+        assert _error_text(fam, bad) == _error_text(fam, iter(bad))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[4, 0, 0], [0, True, 3]], "row 1 exponent must be an integer, got True"),
+            ([[4.0, 0, 0]], "row 0 exponent must be an integer, got 4.0"),
+            ([[4, 0, 0], [0, "4", 0]], "row 1 exponent must be an integer, got '4'"),
+            ([[4, 0, 0], [5, -1, 0]], "row 1 has a negative exponent: (5, -1, 0)"),
+            ([[4, 0, 0], [4, 0]], "row 1 has 2 exponents for 3 variables"),
+            ([[4, 0, 0], [1, 1, 1]], "row 1 (1, 1, 1) has weighted degree 3, expected 4"),
+            ([[4, 0, 0], (4, 0, 0)], "support rows must be distinct"),
+            ([], "support must contain at least one monomial"),
+            ([[4, 0, 0], 5], "monomial row 1 must be a sequence of exponents, got 5"),
+        ],
+    )
+    def test_messages_name_the_defect(self, rows, message):
+        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        assert _error_text(fam, rows) == message
+        assert _error_text(fam, iter(rows)) == message
 
 
 class TestMonomialExistence:

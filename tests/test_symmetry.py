@@ -9,6 +9,7 @@ from wph import (
     InvariantViolationError,
     MissingWitnessError,
     PolynomialSupport,
+    monomial_existence_check,
     ValidationError,
     WeightSystem,
     distinguished_minor,
@@ -22,7 +23,8 @@ from wph import (
     lin_finiteness,
     smith_normal_form,
 )
-from wph.symmetry import _row_lattice_basis
+from wph.monomials import witness_rows
+from wph.symmetry import MinorChoice, _row_lattice_basis
 
 from conftest import count_fixing_tuples, random_finite_support
 
@@ -312,6 +314,66 @@ class TestDistinguishedMinor:
             m = len(fam.weights)
             assert 0 < minor.determinant
             assert minor.determinant * fam.weight_product <= fam.degree ** m
+
+
+def _brute_force_minor_choices(support):
+    """The minor's rows and choices by a scan of every row per variable."""
+    rows, choices = [], []
+    for i in range(len(support.family.weights)):
+        candidates = []
+        for row in support.rows:
+            if is_witness_row(row, i):
+                companion = next((j for j, e in enumerate(row) if j != i and e), None)
+                candidates.append((row, row[i], companion))
+        pure = [c for c in candidates if c[2] is None]
+        row, b, companion = pure[0] if pure else max(candidates, key=lambda c: (c[1], -c[2]))
+        rows.append(list(row))
+        choices.append(MinorChoice(i, b, companion))
+    return rows, choices
+
+
+class TestWitnessPass:
+    """The one-pass witness lists agree with ``is_witness_row`` row by row."""
+
+    @staticmethod
+    def random_support(rng):
+        while True:
+            ws = [rng.randint(1, 7) for _ in range(rng.randint(2, 6))]
+            d = rng.randint(1, 30)
+            piece = enumerate_monomials(WeightSystem(ws), d)
+            if piece:
+                break
+        rows = rng.sample(piece, rng.randint(1, len(piece)))
+        return PolynomialSupport(HypersurfaceFamily.of(ws, d), rows)
+
+    def test_lists_match_brute_force(self):
+        rng = random.Random(2301)
+        for _ in range(300):
+            support = self.random_support(rng)
+            found = witness_rows(support)
+            for i, pairs in enumerate(found):
+                expected = [row for row in support.rows if is_witness_row(row, i)]
+                assert [row for row, _ in pairs] == expected
+                for row, companion in pairs:
+                    others = [j for j, e in enumerate(row) if j != i and e]
+                    assert companion == (others[0] if others else None)
+            report = monomial_existence_check(support)
+            assert [w.witness for w in report.witnesses] == [
+                next((row for row in support.rows if is_witness_row(row, i)), None)
+                for i in range(len(found))
+            ]
+
+    def test_minor_choices_match_brute_force(self):
+        rng = random.Random(2302)
+        for _ in range(200):
+            fam, support = random_finite_support(rng, max_vars=5)
+            shuffled = list(support.rows)
+            rng.shuffle(shuffled)
+            for s in (support, PolynomialSupport(fam, shuffled)):
+                rows, choices = _brute_force_minor_choices(s)
+                minor = distinguished_minor(s)
+                assert minor.B.to_rows() == rows
+                assert list(minor.chosen_rows) == choices
 
 
 class TestForcedCentralGroup:
