@@ -52,6 +52,11 @@ CASES = {
     "fermat_curve_text": ["fermat", "--dim", "1", "--degree", "4"],
     "bound_klein_family_json": ["bound", "--weights", "1,1,1", "--degree", "4", "--json"],
     "bound_flagship_text": ["bound", *FLAGSHIP],
+    "check_repeated_weight_json": ["check", "--weights", "2,2,2,1", "--degree", "3", "--json"],
+    "check_not_quasismooth_text": ["check", "--weights", "1,1,3", "--degree", "5"],
+    "check_linear_cone_json": ["check", "--weights", "5,5,4,4", "--degree", "5", "--json"],
+    "bound_infinite_json": ["bound", "--weights", "3,3,1,1", "--degree", "6", "--json"],
+    "bound_no_table_entry_text": ["bound", "--weights", "1,1,1,1", "--degree", "5"],
     # exit 2: validation errors
     "error_degree_mismatch": ["symmetry", "inputs/degree_mismatch.json", "--json"],
     "error_bool_weights": ["symmetry", "inputs/bool_weights.json", "--json"],
