@@ -145,9 +145,6 @@ class JordanTable:
         merged.update({int(k): v for k, v in new_entries.items()})
         return JordanTable(merged)
 
-    def explicit_entries(self) -> dict[int, JordanEntry]:
-        return dict(self._entries)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, JordanTable) and self._entries == other._entries
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -33,14 +34,14 @@ from .monomials import (
     euler_check,
     monomial_existence_check,
 )
-from .quasismooth import is_linear_cone, quasismooth_exists
+from .quasismooth import quasismooth_exists
 from .symmetry import (
+    _forced_central_group,
     _order_modulo_scalars,
     distinguished_minor,
     fermat_prediction,
     fermat_support,
     fixing_group,
-    forced_central_group,
     lin_diagonal_order,
 )
 from .weights import (
@@ -191,11 +192,33 @@ def _group_payload(group) -> dict:
     }
 
 
+def _finiteness_payload(fin) -> dict:
+    return {
+        "finite": fin.finite,
+        "condition": _FINITENESS_TAGS[fin.reason],
+        "rational_if_infinite": fin.rational_flag,
+    }
+
+
+def _order_bound_payload(fam: HypersurfaceFamily, table: JordanTable, finite: bool) -> dict:
+    if not finite:
+        return {"unavailable": "linear automorphism group is infinite"}
+    try:
+        bound = lin_order_bound(fam, table)
+    except MissingJordanEntryError as exc:
+        return {"unavailable": str(exc)}
+    return {
+        "weak_jordan": _format_value(bound.weak_jordan),
+        "exact": _format_value(bound.exact),
+        "floor": bound.floor,
+    }
+
+
 def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
     wf_failures = well_formedness_failures(fam.weights)
-    qs = quasismooth_exists(fam)
-    if not qs.exists:
-        qs = quasismooth_exists(fam, diagnostics=True)
+    # One scan serves both the verdict and the diagnostics: a passing family
+    # visits every subset in either mode.
+    qs = quasismooth_exists(fam, diagnostics=True)
     cclass = canonical_class(fam)
     linearity = aut_equals_lin(fam)
     fin = lin_finiteness(fam)
@@ -214,7 +237,7 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
                 for f in wf_failures
             ],
         },
-        "linear_cone": is_linear_cone(fam),
+        "linear_cone": qs.is_linear_cone,
         "quasismooth": {
             "exists": qs.exists,
             "via_linear_cone": qs.is_linear_cone,
@@ -233,33 +256,17 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
             "verdict": linearity.value,
             "condition": _LINEARITY_TAGS[linearity],
         },
-        "finiteness": {
-            "finite": fin.finite,
-            "condition": _FINITENESS_TAGS[fin.reason],
-            "rational_if_infinite": fin.rational_flag,
-        },
+        "finiteness": _finiteness_payload(fin),
         "genericity": {
             "holds": genericity_condition(fam),
             "condition": "degree >= 5 * max(weights) forces central generic symmetry",
         },
+        "order_bound": _order_bound_payload(fam, table, fin.finite),
     }
-
-    if fin.finite:
-        try:
-            bound = lin_order_bound(fam, table)
-            report["order_bound"] = {
-                "weak_jordan": _format_value(bound.weak_jordan),
-                "exact": _format_value(bound.exact),
-                "floor": bound.floor,
-            }
-        except MissingJordanEntryError as exc:
-            report["order_bound"] = {"unavailable": str(exc)}
-    else:
-        report["order_bound"] = {"unavailable": "linear automorphism group is infinite"}
 
     if qs.exists:
         try:
-            forced = forced_central_group(fam)
+            forced = _forced_central_group(fam)
             payload = _group_payload(forced)
             payload["note"] = "lower bound for the generic linear automorphism group"
             report["forced_central_group"] = payload
@@ -541,25 +548,13 @@ def cmd_bound(args) -> int:
     fin = lin_finiteness(fam)
     payload: dict = {
         "input": {"weights": list(fam.weights.original), "degree": fam.degree},
-        "finiteness": {
-            "finite": fin.finite,
-            "condition": _FINITENESS_TAGS[fin.reason],
-            "rational_if_infinite": fin.rational_flag,
-        },
+        "finiteness": _finiteness_payload(fin),
     }
     if fin.finite:
         hypothesis = Fraction(
             factorial(fam.n + 2) * fam.degree ** (fam.n + 1), fam.weight_product
         )
-        try:
-            bound = lin_order_bound(fam, table)
-            payload["order_bound"] = {
-                "weak_jordan": _format_value(bound.weak_jordan),
-                "exact": _format_value(bound.exact),
-                "floor": bound.floor,
-            }
-        except MissingJordanEntryError as exc:
-            payload["order_bound"] = {"unavailable": str(exc)}
+        payload["order_bound"] = _order_bound_payload(fam, table, True)
         payload["factorial_hypothesis_bound"] = {
             "exact": _format_value(hypothesis),
             "floor": hypothesis.__floor__(),
@@ -628,7 +623,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wph`` argument parser, built once and shared by every call."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit structured JSON")
     shared.add_argument(

@@ -106,13 +106,15 @@ class IntMatrix:
 class SnfDecomposition:
     """Smith normal form ``U * M * V = D`` with unimodular ``U`` and ``V``.
 
-    ``invariant_factors`` lists the nonzero diagonal entries of ``D``; they
+    ``Vinv`` is the inverse of ``V``, kept for lattice work on the solution
+    space. ``invariant_factors`` lists the nonzero diagonal entries of ``D``; they
     are positive and form a divisibility chain d_1 | d_2 | ... | d_r.
     """
 
     D: IntMatrix
     U: IntMatrix
     V: IntMatrix
+    Vinv: IntMatrix
     invariant_factors: tuple[int, ...]
 
 
@@ -227,26 +229,24 @@ def _snf_worker(a: list[list[int]], nrows: int, ncols: int):
     return u, v, vinv
 
 
-def _snf_with_inverse(m: IntMatrix):
-    """Full decomposition plus the inverse of V, for internal lattice work."""
-    a = m.to_rows()
-    u, v, vinv = _snf_worker(a, m.rows, m.cols)
-    d = IntMatrix.from_rows(a)
-    factors = tuple(
-        a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i] != 0
-    )
-    return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v), IntMatrix.from_rows(vinv), factors
-
-
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form of ``m`` with recorded unimodular transforms.
 
     Deterministic for a given input. The diagonal of the returned ``D`` is
-    nonnegative with the nonzero entries forming a divisibility chain, and
-    ``U @ m @ V == D`` holds exactly.
+    nonnegative with the nonzero entries forming a divisibility chain,
+    ``U @ m @ V == D`` holds exactly, and ``V @ Vinv`` is the identity.
     """
-    d, u, v, _, factors = _snf_with_inverse(m)
-    return SnfDecomposition(D=d, U=u, V=v, invariant_factors=factors)
+    a = m.to_rows()
+    u, v, vinv = _snf_worker(a, m.rows, m.cols)
+    return SnfDecomposition(
+        D=IntMatrix.from_rows(a),
+        U=IntMatrix.from_rows(u),
+        V=IntMatrix.from_rows(v),
+        Vinv=IntMatrix.from_rows(vinv),
+        invariant_factors=tuple(
+            a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i] != 0
+        ),
+    )
 
 
 def integer_determinant(m: IntMatrix) -> int:

@@ -7,16 +7,21 @@ nonempty index subset I one of the following holds:
 (a) d is a nonnegative integer combination of the weights in I, or
 (b) at least |I| indices j outside I have d - a_j representable that way.
 
-The subset scan runs in increasing subset size with early exit on the first
-failure; with ``diagnostics=True`` it scans everything and reports every
-failing subset. Subset indices refer to the canonical (non-increasing) weight
-order.
+One traversal visits the subsets in increasing size, lexicographically within
+a size, and yields each failing one as a :class:`SubsetDiagnostic`. A
+singleton {i} reduces to divisibility (d or some d - a_j a multiple of a_i),
+so it never has an outside witness when it fails. Larger subsets read one
+representability mask of d + 1 bits per distinct set of weight values.
+By default the scan stops at the first failure; with ``diagnostics=True`` it
+runs to the end and reports every failing subset. A passing family visits
+every subset either way. Subset indices refer to the canonical
+(non-increasing) weight order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import ResourceCapError
 from .intlinalg import representable_mask
@@ -51,27 +56,29 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
     return fam.degree in fam.weights.canonical
 
 
-def _subset_diagnostic(subset, weights, d, masks):
-    values = frozenset(weights[i] for i in subset)
-    mask = masks.get(values)
-    if mask is None:
-        mask = representable_mask(d, values)
-        masks[values] = mask
-    rep_d = bool((mask >> d) & 1)
-    witnesses = []
-    inside = set(subset)
-    for j, a in enumerate(weights):
-        if j in inside:
-            continue
-        r = d - a
-        if r >= 0 and (mask >> r) & 1:
-            witnesses.append(j)
-    return SubsetDiagnostic(
-        subset=tuple(subset),
-        degree_representable=rep_d,
-        outside_witnesses=tuple(witnesses),
-        required=len(subset),
-    )
+def _failing_subsets(weights, d):
+    """Failing subsets of the criterion, as diagnostics in (size, lex) order."""
+    for i, a in enumerate(weights):
+        if d % a and not any(
+            j != i and d >= b and (d - b) % a == 0 for j, b in enumerate(weights)
+        ):
+            yield SubsetDiagnostic((i,), False, (), 1)
+    masks: dict[frozenset[int], int] = {}
+    for size in range(2, len(weights) + 1):
+        for subset in combinations(range(len(weights)), size):
+            values = frozenset(weights[i] for i in subset)
+            mask = masks.get(values)
+            if mask is None:
+                mask = masks[values] = representable_mask(d, values)
+            if (mask >> d) & 1:
+                continue
+            witnesses = tuple(
+                j
+                for j, a in enumerate(weights)
+                if j not in subset and a <= d and (mask >> (d - a)) & 1
+            )
+            if len(witnesses) < size:
+                yield SubsetDiagnostic(subset, False, witnesses, size)
 
 
 def quasismooth_exists(
@@ -92,41 +99,6 @@ def quasismooth_exists(
         )
     if is_linear_cone(fam):
         return QuasismoothReport(exists=True, is_linear_cone=True, failing_subsets=())
-    d = fam.degree
-    masks: dict[frozenset[int], int] = {}
-
-    if diagnostics:
-        failing = []
-        for size in range(1, m + 1):
-            for subset in combinations(range(m), size):
-                diag = _subset_diagnostic(subset, weights, d, masks)
-                if not diag.passed:
-                    failing.append(diag)
-        return QuasismoothReport(
-            exists=not failing, is_linear_cone=False, failing_subsets=tuple(failing)
-        )
-
-    # Fast path. Singleton subsets reduce to divisibility checks, and the
-    # first failing subset of any size ends the scan.
-    for i in range(m):
-        a = weights[i]
-        if d % a == 0:
-            continue
-        if any(
-            j != i and d >= weights[j] and (d - weights[j]) % a == 0 for j in range(m)
-        ):
-            continue
-        diag = SubsetDiagnostic(
-            subset=(i,), degree_representable=False, outside_witnesses=(), required=1
-        )
-        return QuasismoothReport(
-            exists=False, is_linear_cone=False, failing_subsets=(diag,)
-        )
-    for size in range(2, m + 1):
-        for subset in combinations(range(m), size):
-            diag = _subset_diagnostic(subset, weights, d, masks)
-            if not diag.passed:
-                return QuasismoothReport(
-                    exists=False, is_linear_cone=False, failing_subsets=(diag,)
-                )
-    return QuasismoothReport(exists=True, is_linear_cone=False, failing_subsets=())
+    failing = _failing_subsets(weights, fam.degree)
+    found = tuple(failing if diagnostics else islice(failing, 1))
+    return QuasismoothReport(exists=not found, is_linear_cone=False, failing_subsets=found)

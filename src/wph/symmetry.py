@@ -35,7 +35,12 @@ from .errors import (
     MissingWitnessError,
     ValidationError,
 )
-from .intlinalg import IntMatrix, _snf_with_inverse, integer_determinant
+from .intlinalg import (
+    IntMatrix,
+    SnfDecomposition,
+    integer_determinant,
+    smith_normal_form,
+)
 from .monomials import (
     DEFAULT_MONOMIAL_CAP,
     ExponentVector,
@@ -159,8 +164,10 @@ def _row_lattice_basis(
     return [pivots[p] for p in sorted(pivots)]
 
 
-def _support_snf(rows: Sequence[Sequence[int]], weights: Sequence[int], degree: int):
-    """Smith data of the exponent matrix, compressing huge supports first.
+def _support_snf(
+    rows: Sequence[Sequence[int]], weights: Sequence[int], degree: int
+) -> SnfDecomposition:
+    """Smith form of the exponent matrix, compressing huge supports first.
 
     Every row must have weighted degree ``degree``; the compression relies on
     it to stop early (see :func:`_row_lattice_basis`).
@@ -168,7 +175,7 @@ def _support_snf(rows: Sequence[Sequence[int]], weights: Sequence[int], degree: 
     m = len(weights)
     if len(rows) > max(_COMPRESS_THRESHOLD_FACTOR * m, 16):
         rows = _row_lattice_basis(rows, m, degree // gcd(degree, *weights))
-    return _snf_with_inverse(IntMatrix.from_rows(rows)), m
+    return smith_normal_form(IntMatrix.from_rows(rows))
 
 
 def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
@@ -178,10 +185,11 @@ def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
     group (rank-deficient exponent matrix) is a first-class result with
     ``finite`` False and the positive ``free_rank`` recorded.
     """
-    (_, _, _, _, factors), m = _support_snf(
-        p.rows, p.family.weights.original, p.family.degree
+    weights = p.family.weights.original
+    factors = _support_snf(p.rows, weights, p.family.degree).invariant_factors
+    return AbelianGroupStructure.from_factors(
+        factors, free_rank=len(weights) - len(factors)
     )
-    return AbelianGroupStructure.from_factors(factors, free_rank=m - len(factors))
 
 
 def lin_diagonal_order(p: PolynomialSupport) -> int | None:
@@ -246,14 +254,16 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
     return DistinguishedMinor(B=B, chosen_rows=tuple(choices), determinant=det)
 
 
-def _quotient_by_scalar(snf_data, weights: Sequence[int], degree: int) -> AbelianGroupStructure:
+def _quotient_by_scalar(
+    snf: SnfDecomposition, weights: Sequence[int], degree: int
+) -> AbelianGroupStructure:
     """Fixing group modulo the scalar element (a_0/d, ..., a_{m-1}/d).
 
     Works in the basis b_i = (column i of V) / d_i of the solution lattice:
     the standard lattice and the scalar vector are rewritten in that basis,
     giving an integer matrix whose cokernel is the quotient group.
     """
-    _, _, _, vinv, factors = snf_data
+    vinv, factors = snf.Vinv, snf.invariant_factors
     m = len(weights)
     if len(factors) != m:
         raise InvariantViolationError("scalar quotient requires a finite fixing group")
@@ -269,7 +279,7 @@ def _quotient_by_scalar(snf_data, weights: Sequence[int], degree: int) -> Abelia
     rows = []
     for i in range(m):
         rows.append([factors[i] * vinv.at(i, j) for j in range(m)] + [aug_col[i]])
-    _, _, _, _, qfactors = _snf_with_inverse(IntMatrix.from_rows(rows))
+    qfactors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
     if len(qfactors) != m:
         raise InvariantViolationError("quotient of a finite group came out infinite")
     return AbelianGroupStructure.from_factors(qfactors, free_rank=0)
@@ -292,13 +302,22 @@ def forced_central_group(
             f"{fam} admits no quasismooth member; the forced subgroup is only "
             f"meaningful for families that do"
         )
+    return _forced_central_group(fam, monomial_cap)
+
+
+def _forced_central_group(
+    fam: HypersurfaceFamily, monomial_cap: int = DEFAULT_MONOMIAL_CAP
+) -> AbelianGroupStructure:
+    """:func:`forced_central_group` for a family already known to pass the
+    quasismooth criterion."""
     wc = fam.weights.canonicalized()
     rows = enumerate_monomials(wc, fam.degree, cap=monomial_cap)
-    snf_data, m = _support_snf(rows, wc.original, fam.degree)
-    factors = snf_data[4]
+    snf = _support_snf(rows, wc.original, fam.degree)
+    m = len(wc.original)
+    factors = snf.invariant_factors
     if len(factors) < m:
         return AbelianGroupStructure((), None, False, m - len(factors))
-    return _quotient_by_scalar(snf_data, wc.original, fam.degree)
+    return _quotient_by_scalar(snf, wc.original, fam.degree)
 
 
 class FermatPrediction(NamedTuple):

@@ -112,13 +112,50 @@ def count_fixing_tuples(rows, modulus: int) -> int:
     return total
 
 
-def naive_quasismooth_exists(weights, degree: int) -> bool:
-    """Independent restatement of the subset criterion with plain list DP."""
+def naive_quasismooth_failures(weights, degree: int) -> list[tuple]:
+    """Every failing subset of the criterion, by plain list DP.
+
+    Returns (subset, degree_representable, outside_witnesses, required) for
+    each failing index subset, in (size, lex) order; empty for linear cones.
+    """
     ws = tuple(weights)
     m = len(ws)
     d = degree
     if d in ws:
-        return True
+        return []
+
+    cache: dict[frozenset[int], list[bool]] = {}
+
+    def reachable(gens: frozenset[int]) -> list[bool]:
+        got = cache.get(gens)
+        if got is None:
+            got = [False] * (d + 1)
+            got[0] = True
+            for k in range(1, d + 1):
+                got[k] = any(k >= g and got[k - g] for g in gens)
+            cache[gens] = got
+        return got
+
+    failures = []
+    for size in range(1, m + 1):
+        for subset in combinations(range(m), size):
+            reach = reachable(frozenset(ws[i] for i in subset))
+            if reach[d]:
+                continue
+            inside = set(subset)
+            witnesses = tuple(
+                j
+                for j in range(m)
+                if j not in inside and d - ws[j] >= 0 and reach[d - ws[j]]
+            )
+            if len(witnesses) < size:
+                failures.append((subset, False, witnesses, size))
+    return failures
+
+
+def naive_quasismooth_exists(weights, degree: int) -> bool:
+    """Independent restatement of the subset criterion with plain list DP."""
+    return not naive_quasismooth_failures(weights, degree)
 
     cache: dict[frozenset[int], list[bool]] = {}
 

@@ -74,6 +74,26 @@ class TestCheck:
         payload = run_json(capsys, "check", "--weights", "1,1,1,1", "--degree", "5")
         assert "unavailable" in payload["order_bound"]
 
+    @pytest.mark.parametrize(
+        "weights, degree", [("36,31,30,25", "180"), ("1,1,3", "5")]
+    )
+    def test_one_subset_scan_per_check(self, capsys, monkeypatch, weights, degree):
+        import wph.cli
+        import wph.symmetry
+
+        calls = []
+        for module in (wph.cli, wph.symmetry):
+            original = module.quasismooth_exists
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "quasismooth_exists", counted)
+        code, _, err = run(capsys, "check", "--weights", weights, "--degree", degree)
+        assert code == 0, err
+        assert len(calls) == 1
+
     def test_malformed_weights(self, capsys):
         code, out, err = run(capsys, "check", "--weights", "a,b", "--degree", "4")
         assert code == 2

@@ -92,6 +92,7 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, m):
         dec = smith_normal_form(m)
         assert dec.U @ m @ dec.V == dec.D
+        assert dec.V @ dec.Vinv == IntMatrix.identity(m.cols)
         assert abs(cofactor_determinant(dec.U.to_rows())) == 1
         assert abs(cofactor_determinant(dec.V.to_rows())) == 1
         factors = dec.invariant_factors

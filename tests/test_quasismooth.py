@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from itertools import combinations_with_replacement
 
 import pytest
@@ -15,7 +16,7 @@ from wph import (
     quasismooth_exists,
 )
 
-from conftest import naive_quasismooth_exists
+from conftest import naive_quasismooth_exists, naive_quasismooth_failures
 
 weight_lists = st.lists(st.integers(min_value=1, max_value=10), min_size=2, max_size=5)
 
@@ -74,13 +75,17 @@ class TestQuasismoothExamples:
 
 class TestAgainstIndependentReimplementation:
     def test_exhaustive_small_range(self):
-        # all weight multisets of length 3 with entries <= 6, degrees <= 25
+        # all weight multisets of length 3 with entries <= 6, degrees <= 25;
+        # diagnostics index the canonical (non-increasing) order
         for ws in combinations_with_replacement(range(1, 7), 3):
             for d in range(1, 26):
                 fam = HypersurfaceFamily.of(ws, d)
-                assert quasismooth_exists(fam).exists == naive_quasismooth_exists(
-                    ws, d
-                ), (ws, d)
+                expected = naive_quasismooth_failures(fam.weights.canonical, d)
+                fast = quasismooth_exists(fam)
+                full = quasismooth_exists(fam, diagnostics=True)
+                assert fast.exists == full.exists == (not expected), (ws, d)
+                assert [astuple(s) for s in full.failing_subsets] == expected, (ws, d)
+                assert [astuple(s) for s in fast.failing_subsets] == expected[:1], (ws, d)
 
     def test_sampled_wider_range(self):
         rng = random.Random(997)
