@@ -106,8 +106,8 @@ class IntMatrix:
 class SnfDecomposition:
     """Smith normal form ``U * M * V = D`` with unimodular ``U`` and ``V``.
 
-    ``Vinv`` is the inverse of ``V``, kept for lattice work on the solution
-    space. ``invariant_factors`` lists the nonzero diagonal entries of ``D``; they
+    ``Vinv`` is the inverse of ``V``, for lattice work on the solution space.
+    ``invariant_factors`` lists the nonzero diagonal entries of ``D``; they
     are positive and form a divisibility chain d_1 | d_2 | ... | d_r.
     """
 

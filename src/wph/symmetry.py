@@ -313,10 +313,9 @@ def _forced_central_group(
     wc = fam.weights.canonicalized()
     rows = enumerate_monomials(wc, fam.degree, cap=monomial_cap)
     snf = _support_snf(rows, wc.original, fam.degree)
-    m = len(wc.original)
-    factors = snf.invariant_factors
-    if len(factors) < m:
-        return AbelianGroupStructure((), None, False, m - len(factors))
+    free_rank = len(wc.original) - len(snf.invariant_factors)
+    if free_rank:
+        return AbelianGroupStructure((), None, False, free_rank)
     return _quotient_by_scalar(snf, wc.original, fam.degree)
 
 
