@@ -554,7 +554,7 @@ def cmd_bound(args) -> int:
         hypothesis = Fraction(
             factorial(fam.n + 2) * fam.degree ** (fam.n + 1), fam.weight_product
         )
-        payload["order_bound"] = _order_bound_payload(fam, table, True)
+        payload["order_bound"] = _order_bound_payload(fam, table, fin.finite)
         payload["factorial_hypothesis_bound"] = {
             "exact": _format_value(hypothesis),
             "floor": hypothesis.__floor__(),

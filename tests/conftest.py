@@ -157,33 +157,6 @@ def naive_quasismooth_exists(weights, degree: int) -> bool:
     """Independent restatement of the subset criterion with plain list DP."""
     return not naive_quasismooth_failures(weights, degree)
 
-    cache: dict[frozenset[int], list[bool]] = {}
-
-    def reachable(gens: frozenset[int]) -> list[bool]:
-        got = cache.get(gens)
-        if got is None:
-            got = [False] * (d + 1)
-            got[0] = True
-            for k in range(1, d + 1):
-                got[k] = any(k >= g and got[k - g] for g in gens)
-            cache[gens] = got
-        return got
-
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            reach = reachable(frozenset(ws[i] for i in subset))
-            if reach[d]:
-                continue
-            inside = set(subset)
-            witnesses = sum(
-                1
-                for j in range(m)
-                if j not in inside and d - ws[j] >= 0 and reach[d - ws[j]]
-            )
-            if witnesses < size:
-                return False
-    return True
-
 
 def monomial_witness_oracle(weights, degree: int, variable: int) -> bool:
     """Directly search for a monomial x_i^k or x_i^k x_j of the given degree."""
