@@ -4,6 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wph.cli
+import wph.symmetry
 from wph.cli import _write_json, main
 
 
@@ -78,9 +80,6 @@ class TestCheck:
         "weights, degree", [("36,31,30,25", "180"), ("1,1,3", "5")]
     )
     def test_one_subset_scan_per_check(self, capsys, monkeypatch, weights, degree):
-        import wph.cli
-        import wph.symmetry
-
         calls = []
         for module in (wph.cli, wph.symmetry):
             original = module.quasismooth_exists
