@@ -42,6 +42,7 @@ CASES = {
     "symmetry_rank_deficient_json": ["symmetry", "inputs/rank_deficient.json", "--json"],
     "symmetry_common_factor_json": ["symmetry", "inputs/common_factor.json", "--json"],
     "symmetry_no_witness_text": ["symmetry", "inputs/no_witness.json"],
+    "symmetry_ascending_piece_json": ["symmetry", "inputs/ascending_piece.json", "--json"],
     "enumerate_cy_curves_json": [
         "enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "30", "--json",
     ],
@@ -57,6 +58,9 @@ CASES = {
     "check_linear_cone_json": ["check", "--weights", "5,5,4,4", "--degree", "5", "--json"],
     "bound_infinite_json": ["bound", "--weights", "3,3,1,1", "--degree", "6", "--json"],
     "bound_no_table_entry_text": ["bound", "--weights", "1,1,1,1", "--degree", "5"],
+    "check_p5_degree_20_json": [
+        "check", "--weights", "1,1,1,1,1,1", "--degree", "20", "--json",
+    ],
     # exit 2: validation errors
     "error_degree_mismatch": ["symmetry", "inputs/degree_mismatch.json", "--json"],
     "error_bool_weights": ["symmetry", "inputs/bool_weights.json", "--json"],
