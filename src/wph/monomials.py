@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
+from math import gcd
 from operator import methodcaller, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
 from .weights import HypersurfaceFamily, WeightSystem, as_int
@@ -25,45 +26,71 @@ def weighted_degree(weights: Sequence[int], exponents: Sequence[int]) -> int:
     return sum(a * e for a, e in zip(weights, exponents))
 
 
+def iter_monomials(w: WeightSystem, degree: int) -> Iterator[ExponentVector]:
+    """Lazily, every exponent vector of the given weighted degree, largest-lex first.
+
+    Vectors align with the weight order as given (matching how supports are
+    stored) and come in descending lexicographic order, so a consumer that
+    stops early has seen a prefix of :func:`enumerate_monomials`.
+    """
+    degree = as_int(degree, "degree")
+    if degree < 0:
+        raise ValidationError("degree must be nonnegative")
+    return _descending_monomials(w.original, degree)
+
+
+def _descending_monomials(weights: Sequence[int], degree: int) -> Iterator[ExponentVector]:
+    """Odometer over all coordinates but the last two, which come in bulk.
+
+    ``exps[i]`` runs from its largest value down to 0, and ``rest[i]`` is the
+    degree left for coordinates i and later. For each prefix, the admissible
+    exponents e of the second-to-last weight a are the e <= rest // a with
+    rest - e * a divisible by the last weight b: one residue class modulo
+    b / gcd(a, b), read off from the largest admissible e.
+    """
+    *head, a, b = weights
+    k = len(head)
+    step = b // gcd(a, b)
+    exps = [0] * k
+    rest = [degree] * (k + 1)
+    top = 0  # coordinates top and later are reset to their largest values
+    while True:
+        for i in range(top, k):
+            exps[i] = rest[i] // head[i]
+            rest[i + 1] = rest[i] - exps[i] * head[i]
+        prefix = tuple(exps)
+        r = rest[k]
+        largest = r // a
+        for first in range(largest, max(largest - step, -1), -1):
+            if (r - first * a) % b == 0:
+                for e in range(first, -1, -step):
+                    yield prefix + (e, (r - e * a) // b)
+                break
+        top = k - 1
+        while top >= 0 and not exps[top]:
+            top -= 1
+        if top < 0:
+            return
+        exps[top] -= 1
+        rest[top + 1] += head[top]
+        top += 1
+
+
 def enumerate_monomials(
     w: WeightSystem, degree: int, *, cap: int = DEFAULT_MONOMIAL_CAP
 ) -> list[ExponentVector]:
     """All exponent vectors of the given weighted degree, largest-lex first.
 
-    Vectors align with the weight order as given (matching how supports are
-    stored) and are emitted in descending lexicographic order, so the output
-    is stable enough to freeze in golden files; canonicalize the weight
-    system first for the canonical ordering. Raises ResourceCapError as soon
-    as the result would exceed ``cap`` vectors.
+    The rows of :func:`iter_monomials`, as a list; stable enough to freeze in
+    golden files. Canonicalize the weight system first for the canonical
+    ordering. Raises ResourceCapError when the piece has more than ``cap``
+    vectors, after reading ``cap + 1`` of them.
     """
-    degree = as_int(degree, "degree")
-    if degree < 0:
-        raise ValidationError("degree must be nonnegative")
-    weights = w.original
-    m = len(weights)
-    out: list[ExponentVector] = []
-    exps = [0] * m
-
-    def descend(pos, remaining):
-        if pos == m - 1:
-            last = weights[pos]
-            if remaining % last == 0:
-                if len(out) >= cap:
-                    raise ResourceCapError(
-                        f"graded piece has more than {cap} monomials"
-                    )
-                exps[pos] = remaining // last
-                out.append(tuple(exps))
-                exps[pos] = 0
-            return
-        a = weights[pos]
-        for e in range(remaining // a, -1, -1):
-            exps[pos] = e
-            descend(pos + 1, remaining - e * a)
-        exps[pos] = 0
-
-    descend(0, degree)
-    return out
+    limit = max(cap, 0)
+    rows = list(islice(iter_monomials(w, degree), limit + 1))
+    if len(rows) > limit:
+        raise ResourceCapError(f"graded piece has more than {cap} monomials")
+    return rows
 
 
 def _plain_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...] | None:
@@ -185,18 +212,25 @@ def is_witness_row(row: Sequence[int], variable: int) -> bool:
     return True
 
 
+def witness_shaped(rows: Sequence[ExponentVector], m: int) -> Iterator[ExponentVector]:
+    """Lazily, the rows with at most two nonzero exponents, in their order.
+
+    Every witness row has this shape; a row with three or more nonzero
+    exponents is skipped on its count of zeros alone.
+    """
+    return compress(rows, map((m - 2).__le__, map(methodcaller("count", 0), rows)))
+
+
 def witness_rows(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | None]]]:
     """Each variable's witness rows as (row, companion), in support order.
 
     These are the rows :func:`is_witness_row` accepts: x_i^k with companion
-    None, and x_i^k * x_j with companion j. One pass over the support finds
-    them for every variable; a row with three or more nonzero exponents is
-    skipped on its count of zeros alone.
+    None, and x_i^k * x_j with companion j. One pass over the
+    :func:`witness_shaped` rows finds them for every variable.
     """
     m = len(p.family.weights)
     found: list[list[tuple[ExponentVector, int | None]]] = [[] for _ in range(m)]
-    few_nonzero = map((m - 2).__le__, map(methodcaller("count", 0), p.rows))
-    for row in compress(p.rows, few_nonzero):
+    for row in witness_shaped(p.rows, m):
         nonzero = [j for j, e in enumerate(row) if e]
         if len(nonzero) == 1:
             found[nonzero[0]].append((row, None))

@@ -14,25 +14,29 @@ All computations here stay in exact integer arithmetic; quotients are taken
 by rewriting generators in a lattice basis derived from the Smith normal form
 and running a second Smith reduction on the resulting integer matrix.
 
-Large supports are first compressed to an echelon basis of their row lattice
-L. Every row r has a.r = d, so L lies in the degree lattice
-Lambda = {v : a.v = 0 mod d}, of index d / gcd(d, a_0, ..., a_{m-1}). The
-compression stops as soon as its partial lattice L' has that index: then
+Every support, and every graded piece, is first compressed to an echelon
+basis of its row lattice L. Every row r has a.r = d, so L lies in the degree
+lattice Lambda = {v : a.v = 0 mod d}, of index d / gcd(d, a_0, ..., a_{m-1}).
+The compression stops as soon as its partial lattice L' has that index: then
 L' <= L <= Lambda with [Z^m : L'] = [Z^m : Lambda] forces L' = L = Lambda,
 and every remaining row would reduce to zero without changing a pivot, so the
-basis is the one the exhaustive pass returns.
+basis is the one the exhaustive pass returns. The rows are therefore read
+lazily, in an order that reaches the exit early: graded pieces as they are
+enumerated, supports with their witness-shaped rows first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, gcd
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import lin_finiteness
 from .errors import (
     InvariantViolationError,
     MissingWitnessError,
+    ResourceCapError,
     ValidationError,
 )
 from .intlinalg import (
@@ -45,15 +49,12 @@ from .monomials import (
     DEFAULT_MONOMIAL_CAP,
     ExponentVector,
     PolynomialSupport,
-    enumerate_monomials,
+    iter_monomials,
     witness_rows,
+    witness_shaped,
 )
 from .quasismooth import quasismooth_exists
 from .weights import HypersurfaceFamily, WeightSystem
-
-# Supports larger than this many rows are first compressed to a generating
-# set of their row lattice; the fixing group only depends on that lattice.
-_COMPRESS_THRESHOLD_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _row_lattice_basis(
-    rows: Sequence[Sequence[int]], ncols: int, index: int
+    rows: Iterable[Sequence[int]], ncols: int, index: int
 ) -> list[list[int]]:
     """At most ``ncols`` rows generating the same row lattice as ``rows``.
 
@@ -129,7 +130,7 @@ def _row_lattice_basis(
     product of their diagonal equals it, the partial lattice is that whole
     lattice, every remaining row lies in it and would reduce to zero through
     exact quotients alone, so the loop stops with the basis it would return
-    after the last row.
+    after the last row, and pulls no further row from ``rows``.
     """
     pivots: dict[int, list[int]] = {}
     for row in rows:
@@ -165,17 +166,18 @@ def _row_lattice_basis(
 
 
 def _support_snf(
-    rows: Sequence[Sequence[int]], weights: Sequence[int], degree: int
+    rows: Iterable[Sequence[int]], weights: Sequence[int], degree: int
 ) -> SnfDecomposition:
-    """Smith form of the exponent matrix, compressing huge supports first.
+    """Smith form of the exponent matrix, from a basis of its row lattice.
 
     Every row must have weighted degree ``degree``; the compression relies on
-    it to stop early (see :func:`_row_lattice_basis`).
+    it to stop early (see :func:`_row_lattice_basis`). Invariant factors are
+    lattice invariants, so they are those of the uncompressed matrix.
     """
     m = len(weights)
-    if len(rows) > max(_COMPRESS_THRESHOLD_FACTOR * m, 16):
-        rows = _row_lattice_basis(rows, m, degree // gcd(degree, *weights))
-    return smith_normal_form(IntMatrix.from_rows(rows))
+    basis = _row_lattice_basis(rows, m, degree // gcd(degree, *weights))
+    # Only zero rows (degree 0) leave no pivot; the zero row has their lattice.
+    return smith_normal_form(IntMatrix.from_rows(basis or [[0] * m]))
 
 
 def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
@@ -183,10 +185,14 @@ def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
 
     Computed from the invariant factors of the exponent matrix. An infinite
     group (rank-deficient exponent matrix) is a first-class result with
-    ``finite`` False and the positive ``free_rank`` recorded.
+    ``finite`` False and the positive ``free_rank`` recorded. The rows with
+    at most two nonzero exponents go into the compression first: pure powers
+    and x_i^k * x_j often span the degree lattice on their own, and then no
+    other row is read.
     """
     weights = p.family.weights.original
-    factors = _support_snf(p.rows, weights, p.family.degree).invariant_factors
+    rows = chain(witness_shaped(p.rows, len(weights)), p.rows)
+    factors = _support_snf(rows, weights, p.family.degree).invariant_factors
     return AbelianGroupStructure.from_factors(
         factors, free_rank=len(weights) - len(factors)
     )
@@ -296,6 +302,11 @@ def forced_central_group(
     itself. Requires a family passing the quasismoothness existence criterion.
     For infinite results (rank-deficient graded piece, e.g. linear cones)
     only the free rank is reported; the quotient's torsion is left out.
+
+    The piece is enumerated lazily and ``monomial_cap`` bounds the rows read,
+    not the size of the piece: the rows stop once they span the degree
+    lattice, so a piece larger than the cap raises ResourceCapError only when
+    more than ``monomial_cap`` of its rows are needed.
     """
     if not quasismooth_exists(fam).exists:
         raise ValidationError(
@@ -311,12 +322,20 @@ def _forced_central_group(
     """:func:`forced_central_group` for a family already known to pass the
     quasismooth criterion."""
     wc = fam.weights.canonicalized()
-    rows = enumerate_monomials(wc, fam.degree, cap=monomial_cap)
+    rows = _capped(iter_monomials(wc, fam.degree), monomial_cap)
     snf = _support_snf(rows, wc.original, fam.degree)
     free_rank = len(wc.original) - len(snf.invariant_factors)
     if free_rank:
         return AbelianGroupStructure((), None, False, free_rank)
     return _quotient_by_scalar(snf, wc.original, fam.degree)
+
+
+def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector]:
+    """The rows, raising ResourceCapError when row ``cap + 1`` is pulled."""
+    for read, row in enumerate(rows):
+        if read >= cap:
+            raise ResourceCapError(f"graded piece has more than {cap} monomials")
+        yield row
 
 
 class FermatPrediction(NamedTuple):

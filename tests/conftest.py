@@ -2,7 +2,8 @@
 
 Each oracle here deliberately uses a different algorithm than the library
 code it checks: recursive cofactor determinants against Bareiss elimination,
-power-series convolution against DFS enumeration, list-based dynamic
+recursive enumeration against an odometer, power-series convolution against
+enumeration, list-based dynamic
 programming against bitmask closure, and root-of-unity counting against
 Smith normal forms.
 """
@@ -47,6 +48,35 @@ def cofactor_determinant(rows) -> int:
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * cofactor_determinant(minor)
     return total
+
+
+def descending_monomials(weights, degree: int) -> list[tuple[int, ...]]:
+    """Every exponent vector of the given weighted degree, largest-lex first.
+
+    Plain recursion over the coordinates, one call per partial vector; the
+    library enumerates with an odometer and emits the last two coordinates
+    in bulk.
+    """
+    m = len(weights)
+    out: list[tuple[int, ...]] = []
+    exps = [0] * m
+
+    def descend(pos, remaining):
+        if pos == m - 1:
+            last = weights[pos]
+            if remaining % last == 0:
+                exps[pos] = remaining // last
+                out.append(tuple(exps))
+                exps[pos] = 0
+            return
+        a = weights[pos]
+        for e in range(remaining // a, -1, -1):
+            exps[pos] = e
+            descend(pos + 1, remaining - e * a)
+        exps[pos] = 0
+
+    descend(0, degree)
+    return out
 
 
 def series_dimensions(weights, upto: int) -> list[int]:

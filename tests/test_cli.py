@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 
@@ -92,6 +93,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--weights", weights, "--degree", degree)
         assert code == 0, err
         assert len(calls) == 1
+
+    def test_forced_group_over_the_row_cap_is_unavailable(self, capsys, monkeypatch):
+        # The flagship piece (4 monomials, forced order 5) never spans the
+        # degree lattice, so a cap of 3 rows read is exceeded.
+        capped = functools.partial(wph.symmetry._forced_central_group, monomial_cap=3)
+        monkeypatch.setattr(wph.cli, "_forced_central_group", capped)
+        payload = run_json(capsys, "check", "--weights", "36,31,30,25", "--degree", "180")
+        assert payload["forced_central_group"] == {
+            "unavailable": "graded piece has more than 3 monomials"
+        }
 
     def test_malformed_weights(self, capsys):
         code, out, err = run(capsys, "check", "--weights", "a,b", "--degree", "4")

@@ -18,9 +18,9 @@ from wph import (
     partial_derivative,
 )
 
-from wph.monomials import _checked_rows, _plain_rows
+from wph.monomials import _checked_rows, _plain_rows, iter_monomials
 
-from conftest import random_weighted_polynomial, series_dimensions
+from conftest import descending_monomials, random_weighted_polynomial, series_dimensions
 
 
 class TestEnumeration:
@@ -50,6 +50,33 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             enumerate_monomials(WeightSystem([1, 1, 1]), 30, cap=10)
+
+    def test_generator_matches_recursive_oracle(self):
+        rng = random.Random(7070)
+        zero_degree = empty = 0
+        for _ in range(600):
+            ws = [rng.randint(1, 9) for _ in range(rng.randint(2, 6))]
+            d = rng.choice((0, rng.randint(1, 12), rng.randint(1, 30)))
+            expected = descending_monomials(ws, d)
+            assert list(iter_monomials(WeightSystem(ws), d)) == expected, (ws, d)
+            zero_degree += d == 0
+            empty += not expected
+        assert zero_degree and empty
+        # A single weight never reaches the enumeration.
+        with pytest.raises(ValidationError, match="two weights"):
+            WeightSystem([3])
+
+    def test_cap_admits_exactly_cap_rows(self):
+        rng = random.Random(7071)
+        for _ in range(150):
+            ws = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+            d = rng.randint(0, 20)
+            piece = descending_monomials(ws, d)
+            w = WeightSystem(ws)
+            assert enumerate_monomials(w, d, cap=len(piece)) == piece
+            if piece:
+                with pytest.raises(ResourceCapError, match=f"more than {len(piece) - 1} "):
+                    enumerate_monomials(w, d, cap=len(piece) - 1)
 
     def test_dimension_matches_series_exhaustive(self):
         # all weight multisets of length <= 4 with entries <= 6, degrees <= 25

@@ -3,12 +3,14 @@ from math import gcd, prod
 
 import pytest
 
+import wph.symmetry
 from wph import (
     HypersurfaceFamily,
     IntMatrix,
     InvariantViolationError,
     MissingWitnessError,
     PolynomialSupport,
+    ResourceCapError,
     monomial_existence_check,
     ValidationError,
     WeightSystem,
@@ -24,7 +26,12 @@ from wph import (
     smith_normal_form,
 )
 from wph.monomials import witness_rows
-from wph.symmetry import MinorChoice, _row_lattice_basis
+from wph.symmetry import (
+    MinorChoice,
+    _quotient_by_scalar,
+    _row_lattice_basis,
+    _support_snf,
+)
 
 from conftest import count_fixing_tuples, random_finite_support
 
@@ -93,7 +100,7 @@ class TestFixingGroup:
             checked += 1
 
     def test_compression_matches_direct_snf(self):
-        # a support large enough to trigger row compression
+        # a support large enough that the lattice exit skips rows
         from wph import enumerate_monomials
 
         fam = HypersurfaceFamily.of([1, 1, 1], 12)
@@ -107,6 +114,12 @@ class TestFixingGroup:
             prod *= f
         assert group.finite and group.order == prod
 
+    def test_zero_row_at_degree_zero(self):
+        # The compression leaves no pivot; the Smith form is the zero row's.
+        snf = _support_snf([(0, 0, 0)], (1, 2, 3), 0)
+        assert snf.invariant_factors == ()
+        assert snf.Vinv == IntMatrix.identity(3)
+
 
 def _lattice_oracle_check(support):
     """Compressed fixing group against the uncompressed SNF and brute force.
@@ -116,7 +129,7 @@ def _lattice_oracle_check(support):
     fam = support.family
     ws, d, m = fam.weights.original, fam.degree, len(fam.weights)
     rows = support.rows
-    assert _compressed(rows, m)
+    assert _large(rows, m)
     group = fixing_group(support)
     direct = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
     assert group.invariant_factors == tuple(f for f in direct if f > 1)
@@ -133,18 +146,18 @@ def _lattice_oracle_check(support):
     return next(pending, None) is not None
 
 
-def _compressed(rows, m):
+def _large(rows, m):
     return len(rows) > max(4 * m, 16)
 
 
 def _random_graded_piece(rng, hi=400):
-    """Weights, degree and a whole graded piece large enough to compress."""
+    """Weights, degree and a whole graded piece with rows for the exit to skip."""
     while True:
         m = rng.randint(3, 5)
         ws = [rng.randint(1, 6) for _ in range(m)]
         d = rng.randint(max(ws), 40)
         rows = enumerate_monomials(WeightSystem(ws), d)
-        if _compressed(rows, m) and len(rows) <= hi:
+        if _large(rows, m) and len(rows) <= hi:
             return ws, d, rows
 
 
@@ -169,7 +182,7 @@ class TestLatticeExit:
                     if any(is_witness_row(r, i) for i in range(len(ws)))
                     or rng.random() >= 1 / 3
                 ]
-                if not _compressed(rows, len(ws)):
+                if not _large(rows, len(ws)):
                     continue
             direct = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
             index = d // gcd(d, *ws)
@@ -198,7 +211,7 @@ class TestLatticeExit:
             k = rng.randint(2, 5)
             theta = [rng.randrange(k) for _ in ws]
             kept = [r for r in rows if sum(t * e for t, e in zip(theta, r)) % k == 0]
-            if not _compressed(kept, len(ws)):
+            if not _large(kept, len(ws)):
                 continue
             direct = smith_normal_form(IntMatrix.from_rows(kept)).invariant_factors
             if len(direct) == len(ws) and prod(direct) == d // gcd(d, *ws):
@@ -206,6 +219,54 @@ class TestLatticeExit:
             fam = HypersurfaceFamily.of(ws, d)
             assert not _lattice_oracle_check(PolynomialSupport(fam, kept))
             checked += 1
+
+
+class _CountingRows:
+    """Iterator over ``rows`` that counts the rows pulled from it."""
+
+    def __init__(self, rows):
+        self._rows = iter(rows)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self._rows)
+        self.pulled += 1
+        return row
+
+
+class TestWitnessFirst:
+    """``fixing_group`` feeds the witness-shaped rows to the compression first."""
+
+    def test_ascending_whole_piece(self, monkeypatch):
+        ws, d = (1,) * 5, 24
+        rows = sorted(enumerate_monomials(WeightSystem(ws), d))
+        index = d // gcd(d, *ws)
+        ascending = _CountingRows(rows)
+        _row_lattice_basis(ascending, 5, index)
+        assert ascending.pulled > 2000
+
+        pulled = []
+
+        def counted(rows, ncols, index):
+            counting = _CountingRows(rows)
+            basis = _row_lattice_basis(counting, ncols, index)
+            pulled.append(counting.pulled)
+            return basis
+
+        monkeypatch.setattr(wph.symmetry, "_row_lattice_basis", counted)
+        group = fixing_group(PolynomialSupport(HypersurfaceFamily.of(ws, d), rows))
+        assert len(pulled) == 1 and pulled[0] <= 200
+        # The whole matrix's Smith form: its 20 475 x 20 475 transform is out
+        # of reach, so its invariant factors come from a basis folding in
+        # every row without the exit (index 0), which has the same lattice.
+        full = smith_normal_form(IntMatrix.from_rows(_row_lattice_basis(rows, 5, 0)))
+        assert group.invariant_factors == tuple(f for f in full.invariant_factors if f > 1)
+        assert group.free_rank == 5 - len(full.invariant_factors)
+        # Only the scalars of order d fix every monomial of degree d >= 3.
+        assert group.order == d
 
 
 class TestLinDiagonalOrder:
@@ -412,36 +473,52 @@ class TestForcedCentralGroup:
         group = forced_central_group(HypersurfaceFamily.of([25, 30, 31, 36], 180))
         assert group.order == 5
 
+    def test_cap_counts_rows_read(self):
+        # 53 130 monomials, of which the first 6 span the degree lattice.
+        group = forced_central_group(HypersurfaceFamily.of([1] * 6, 20), monomial_cap=10)
+        assert group.finite and group.order == 1
+
+    def test_cap_raises_when_the_piece_lattice_is_smaller(self):
+        # The flagship piece has 4 monomials and forced order 5: its lattice
+        # has index 5 * d, never d, so every row is read.
+        fam = HypersurfaceFamily.of([36, 31, 30, 25], 180)
+        assert len(enumerate_monomials(fam.weights, 180)) == 4
+        with pytest.raises(ResourceCapError, match="more than 3 monomials"):
+            forced_central_group(fam, monomial_cap=3)
+        assert forced_central_group(fam, monomial_cap=4).order == 5
+
     def test_matches_brute_force_quotient_on_random_families(self):
         rng = random.Random(9009)
-        from wph import enumerate_monomials, quasismooth_exists
+        from wph import quasismooth_exists
 
-        checked = 0
+        checked = infinite = brute = 0
         while checked < 25:
             length = rng.randint(3, 4)
             ws = tuple(sorted((rng.randint(1, 6) for _ in range(length)), reverse=True))
-            g = 0
-            for a in ws:
-                g = gcd(g, a)
-            if g != 1:
+            if gcd(*ws) != 1:
                 continue
             d = rng.randint(2, 24)
             fam = HypersurfaceFamily.of(ws, d)
             if not quasismooth_exists(fam).exists:
                 continue
             rows = enumerate_monomials(fam.weights, d)
-            if not rows:
-                continue
-            from wph import fixing_group as fg
-
-            support = PolynomialSupport(fam, rows)
-            full = fg(support)
-            if not full.finite:
+            # The uncompressed Smith form records a len(rows)^2 transform.
+            if len(rows) > 150:
                 continue
             forced = forced_central_group(fam)
-            assert forced.finite
-            assert forced.order * d == full.order, (ws, d)
+            snf = smith_normal_form(IntMatrix.from_rows(rows))
+            if len(snf.invariant_factors) < length:
+                assert forced.free_rank == length - len(snf.invariant_factors)
+                infinite += 1
+                continue
+            assert forced == _quotient_by_scalar(snf, ws, d), (ws, d)
+            assert prod(snf.invariant_factors) == d * forced.order, (ws, d)
+            order = d * forced.order
+            if order ** length <= 2_000_000:
+                assert count_fixing_tuples(rows, order) == order, (ws, d)
+                brute += 1
             checked += 1
+        assert infinite and brute >= 20, (infinite, brute)
 
 
 class TestFermat:
