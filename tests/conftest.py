@@ -3,9 +3,8 @@
 Each oracle here deliberately uses a different algorithm than the library
 code it checks: recursive cofactor determinants against Bareiss elimination,
 recursive enumeration against an odometer, power-series convolution against
-enumeration, list-based dynamic
-programming against bitmask closure, and root-of-unity counting against
-Smith normal forms.
+enumeration, list-based dynamic programming against bitmask closure, and
+root-of-unity counting against Smith normal forms.
 """
 
 from __future__ import annotations
