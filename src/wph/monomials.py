@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import methodcaller, mul
 from typing import Iterable, Iterator, Sequence
@@ -86,11 +86,15 @@ def enumerate_monomials(
     ordering. Raises ResourceCapError when the piece has more than ``cap``
     vectors, after reading ``cap + 1`` of them.
     """
-    limit = max(cap, 0)
-    rows = list(islice(iter_monomials(w, degree), limit + 1))
-    if len(rows) > limit:
-        raise ResourceCapError(f"graded piece has more than {cap} monomials")
-    return rows
+    return list(_capped(iter_monomials(w, degree), cap))
+
+
+def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector]:
+    """The rows, raising ResourceCapError when row ``cap + 1`` is pulled."""
+    for read, row in enumerate(rows):
+        if read >= cap:
+            raise ResourceCapError(f"graded piece has more than {cap} monomials")
+        yield row
 
 
 def _plain_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...] | None:

@@ -30,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import factorial, gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import lin_finiteness
 from .errors import (
     InvariantViolationError,
     MissingWitnessError,
-    ResourceCapError,
     ValidationError,
 )
 from .intlinalg import (
@@ -49,6 +48,7 @@ from .monomials import (
     DEFAULT_MONOMIAL_CAP,
     ExponentVector,
     PolynomialSupport,
+    _capped,
     iter_monomials,
     witness_rows,
     witness_shaped,
@@ -328,14 +328,6 @@ def _forced_central_group(
     if free_rank:
         return AbelianGroupStructure((), None, False, free_rank)
     return _quotient_by_scalar(snf, wc.original, fam.degree)
-
-
-def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector]:
-    """The rows, raising ResourceCapError when row ``cap + 1`` is pulled."""
-    for read, row in enumerate(rows):
-        if read >= cap:
-            raise ResourceCapError(f"graded piece has more than {cap} monomials")
-        yield row
 
 
 class FermatPrediction(NamedTuple):

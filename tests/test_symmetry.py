@@ -491,7 +491,7 @@ class TestForcedCentralGroup:
         rng = random.Random(9009)
         from wph import quasismooth_exists
 
-        checked = infinite = brute = 0
+        checked = infinite = brute = large = 0
         while checked < 25:
             length = rng.randint(3, 4)
             ws = tuple(sorted((rng.randint(1, 6) for _ in range(length)), reverse=True))
@@ -502,10 +502,19 @@ class TestForcedCentralGroup:
             if not quasismooth_exists(fam).exists:
                 continue
             rows = enumerate_monomials(fam.weights, d)
-            # The uncompressed Smith form records a len(rows)^2 transform.
-            if len(rows) > 150:
-                continue
             forced = forced_central_group(fam)
+            # The uncompressed Smith form records a len(rows)^2 transform, so
+            # large pieces are checked against the fixing group of the whole
+            # piece, which compresses.
+            if len(rows) > 150:
+                full = fixing_group(PolynomialSupport(fam, rows))
+                if full.finite:
+                    assert forced.finite
+                    assert forced.order * d == full.order, (ws, d)
+                else:
+                    assert not forced.finite, (ws, d)
+                large += 1
+                continue
             snf = smith_normal_form(IntMatrix.from_rows(rows))
             if len(snf.invariant_factors) < length:
                 assert forced.free_rank == length - len(snf.invariant_factors)
@@ -518,7 +527,7 @@ class TestForcedCentralGroup:
                 assert count_fixing_tuples(rows, order) == order, (ws, d)
                 brute += 1
             checked += 1
-        assert infinite and brute >= 20, (infinite, brute)
+        assert infinite and large and brute >= 20, (infinite, large, brute)
 
 
 class TestFermat:
