@@ -529,6 +529,31 @@ class TestForcedCentralGroup:
             checked += 1
         assert infinite and large and brute >= 20, (infinite, large, brute)
 
+    def test_matches_whole_piece_fixing_group_on_large_pieces(self):
+        # Pieces of 150-5500 rows, where the streamed forced group stops
+        # long before the end of the piece.
+        rng = random.Random(9010)
+        from wph import quasismooth_exists
+
+        checked = 0
+        while checked < 12:
+            length = rng.randint(3, 5)
+            ws = tuple(sorted((rng.randint(1, 6) for _ in range(length)), reverse=True))
+            if gcd(*ws) != 1:
+                continue
+            d = rng.randint(12, 30)
+            fam = HypersurfaceFamily.of(ws, d)
+            if not quasismooth_exists(fam).exists:
+                continue
+            rows = enumerate_monomials(fam.weights, d)
+            if len(rows) <= 150:
+                continue
+            full = fixing_group(PolynomialSupport(fam, rows))
+            forced = forced_central_group(fam)
+            assert full.finite and forced.finite, (ws, d)
+            assert forced.order * d == full.order, (ws, d)
+            checked += 1
+
 
 class TestFermat:
     def test_prediction_values(self):
