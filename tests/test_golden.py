@@ -61,6 +61,34 @@ CASES = {
     "check_p5_degree_20_json": [
         "check", "--weights", "1,1,1,1,1,1", "--degree", "20", "--json",
     ],
+    # fails only at subsets of two or more weights, some with outside witnesses
+    "check_subset_failures_json": [
+        "check", "--weights", "9,9,9,6,5,2", "--degree", "32", "--json",
+    ],
+    "check_subset_failures_text": ["check", "--weights", "11,9,8,6,3,3", "--degree", "17"],
+    # the 95 K3 families and the CY threefolds up to degree 40
+    "enumerate_k3_json": [
+        "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", "100", "--json",
+    ],
+    "enumerate_cy_threefolds_json": [
+        "enumerate", "--dim", "3", "--canonical", "cy", "--max-degree", "40", "--json",
+    ],
+    "enumerate_cy_max_weight_json": [
+        "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", "100",
+        "--max-weight", "12", "--json",
+    ],
+    "enumerate_cy_no_quasismooth_text": [
+        "enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "20",
+        "--no-quasismooth",
+    ],
+    "enumerate_fano_max_weight_text": [
+        "enumerate", "--dim", "1", "--canonical", "fano", "--max-degree", "12",
+        "--max-weight", "5",
+    ],
+    "enumerate_filters_off_text": [
+        "enumerate", "--dim", "1", "--max-degree", "8", "--max-weight", "3",
+        "--no-quasismooth", "--allow-linear-cones",
+    ],
     # exit 2: validation errors
     "error_degree_mismatch": ["symmetry", "inputs/degree_mismatch.json", "--json"],
     "error_bool_weights": ["symmetry", "inputs/bool_weights.json", "--json"],
