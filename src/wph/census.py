@@ -2,35 +2,40 @@
 
 The Calabi-Yau search (degree equal to the weight sum) is the workhorse: it
 reproduces the classical lists of elliptic and K3 hypersurface families. It
-walks sorted tuples (a_0 >= a_1 >= ...) of smaller weights a_1, ... and
-completes each with leading weights a_0, so d = a_0 + R with R the sum of the
-smaller weights. Three tests prune these candidates on the raw integers,
-before any WeightSystem is built:
+walks sorted tuples a_1 >= a_2 >= ... of smaller weights and completes each
+with leading weights a_0 >= a_1, so d = a_0 + R with R the sum of the smaller
+weights, and only tuples with R + a_1 <= max_degree are visited. Three tests
+prune on the raw integers, before any WeightSystem is built:
 
-* the divisor pruning: the singleton case of the quasismooth subset criterion
-  at the largest weight forces a_0 to divide R or R minus a smaller weight,
-  so the leading weights come from the divisors of a few numbers up to
-  max_degree;
+* the singleton condition at the lead: a_0 divides R or R minus a smaller
+  weight. Every smaller weight is at most a_0, so the quotient is at most
+  the number of weights summed, and a few divisions give the leads;
 * well-formedness: the smaller weights must be coprime, and a_0 must be
   coprime to each of their omit-one gcds;
 * the singleton condition at every smaller weight a: a must divide d or
   d minus another weight.
 
 The quasismooth tests apply only under ``require_quasismooth``, the
-well-formedness test only under ``require_well_formed``. Each is a necessary
+well-formedness tests only under ``require_well_formed``. Each is a necessary
 condition only, and every emitted family is re-checked against the public
 predicates, so the pruning changes the speed of the search and never its
-result. The candidate cap counts the leads the divisor pruning keeps, before
-the later tests drop any.
+result.
 
-The divisor pruning turns a quartic scan into a roughly cubic one; the
-measured census time against the degree bound is in ``bench/README.md``
+The candidate cap counts the steps of the Calabi-Yau search: each tuple of
+smaller weights it visits, and each lead the first test keeps (each lead in
+range without ``require_quasismooth``; none when the smaller weights share a
+factor under ``require_well_formed``). The search raises ResourceCapError
+once the count passes the cap, before it does the work counted. The generic
+search (another canonical kind, or none) raises up front when its (weights,
+degree) pairs number more than the cap.
+
+The measured census time against the degree bound is in ``bench/README.md``
 (section "Census scaling", from ``python3 bench/scaling.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
@@ -80,35 +85,10 @@ class SearchConstraints:
         return self.max_weight if self.max_weight is not None else self.max_degree
 
 
-def _divisor_table(limit: int) -> list[list[int]]:
-    divisors: list[list[int]] = [[] for _ in range(limit + 1)]
-    for q in range(1, limit + 1):
-        for v in range(q, limit + 1, q):
-            divisors[v].append(q)
-    return divisors
-
-
-def _sorted_tuples(length: int, max_entry: int, max_sum: int):
-    """Yield non-increasing positive tuples with the given bounds."""
-    buf = [0] * length
-
-    def rec(pos: int, bound: int, budget: int):
-        if pos == length:
-            yield tuple(buf)
-            return
-        slots_after = length - pos - 1
-        top = min(bound, budget - slots_after)
-        for e in range(top, 0, -1):
-            buf[pos] = e
-            yield from rec(pos + 1, e, budget - e)
-
-    yield from rec(0, max_entry, max_sum)
-
-
 def _passes_filters(fam: HypersurfaceFamily, c: SearchConstraints) -> bool:
-    # Only Calabi-Yau candidates (degree = weight sum) get here, so the
-    # canonical class needs no check.
     if c.exclude_linear_cones and is_linear_cone(fam):
+        return False
+    if c.canonical_kind is not None and canonical_class(fam).kind is not c.canonical_kind:
         return False
     if c.require_well_formed and not is_well_formed(fam.weights):
         return False
@@ -117,81 +97,84 @@ def _passes_filters(fam: HypersurfaceFamily, c: SearchConstraints) -> bool:
     return True
 
 
-def _pruned_leads(
-    smalls: tuple[int, ...], total: int, leads: list[int], c: SearchConstraints
-) -> list[int]:
-    """The leads that pass the raw-tuple tests, in the order given.
+def _cap_exceeded(c: SearchConstraints) -> ResourceCapError:
+    return ResourceCapError(
+        f"candidate cap {c.candidate_cap} exceeded during search; raise it to proceed"
+    )
 
-    The singleton condition at a small weight a asks a | d - b for some
-    weight b of the tuple, where d = lead + total (b = a stands for a | d).
-    b = lead asks a | total, which holds for every lead or none; b in
-    ``smalls`` asks lead = b - total (mod a). Well-formedness asks coprime
-    smaller weights and a lead coprime to each of their omit-one gcds, that
-    is to their lcm (0 for a single small weight, which leaves only lead 1).
-    """
-    if c.require_quasismooth:
-        values = set(smalls)
-        for a in values:
-            if total % a:
-                allowed = {(b - total) % a for b in values}
-                leads = [q for q in leads if q % a in allowed]
-    if c.require_well_formed and leads:
-        if gcd(*smalls) != 1:
-            return []
-        coprime_to = lcm(*omit_one_gcds(smalls))
-        leads = [q for q in leads if gcd(q, coprime_to) == 1]
-    return leads
+
+def _prefixes(length: int, top: int, max_degree: int):
+    """(prefix, sum, gcd, largest last weight) for the smaller weights but the
+    last, over the tuples with 2 a_1 + a_2 + ... <= max_degree."""
+    if length == 1:
+        yield (), 0, 0, min(top, max_degree // 2)
+        return
+
+    def rec(prefix, total, g, bound, room):
+        left = length - len(prefix)
+        if left == 1:
+            yield prefix, total, g, min(bound, room)
+            return
+        for e in range(1, min(bound, room - left + 1) + 1):
+            yield from rec(prefix + (e,), total + e, gcd(g, e), e, room - e)
+
+    for first in range(1, min(top, (max_degree - length + 1) // 2) + 1):
+        yield from rec((first,), first, first, first, max_degree - 2 * first)
 
 
 def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
-    # Raw candidates are the smaller-weight tuples plus the leading-weight
-    # completions they spawn; both count against the cap as they are visited,
-    # so a runaway search stops after at most cap + 1 steps.
-    m = c.variables
-    max_w = min(c.effective_max_weight, c.max_degree - m + 1)
-    if max_w < 1:
-        return []
-    smalls_budget = c.max_degree - 1
-    divisors = _divisor_table(c.max_degree)
-    found = []
+    length = c.variables - 1
+    top = min(c.effective_max_weight, c.max_degree - length)
+    found: list[HypersurfaceFamily] = []
+    if top < 1:
+        return found
+    qs, wf = c.require_quasismooth, c.require_well_formed
+    # With one smaller weight every lead passes both singleton conditions.
+    every_lead = not qs or length == 1
+    cap, max_degree = c.candidate_cap, c.max_degree
     seen = 0
-    for smalls in _sorted_tuples(m - 1, min(max_w, smalls_budget), smalls_budget):
-        seen += 1
-        if seen > c.candidate_cap:
-            raise ResourceCapError(
-                f"candidate cap {c.candidate_cap} exceeded during search; "
-                f"raise it to proceed"
-            )
-        lead_min = smalls[0]
-        total = sum(smalls)
-        if total + lead_min > c.max_degree:
-            continue
-        lead_max = min(max_w, c.max_degree - total)
-        if not c.require_quasismooth:
-            # The divisor pruning encodes the quasismoothness singleton
-            # condition; without that filter every completion is a candidate.
-            candidates = set(range(lead_min, lead_max + 1))
-        else:
-            candidates = set()
-            targets = {total}
-            targets.update(total - s for s in set(smalls))
-            for v in targets:
-                if v == 0:
-                    candidates.update(range(lead_min, lead_max + 1))
-                    continue
-                for q in divisors[v]:
-                    if lead_min <= q <= lead_max:
-                        candidates.add(q)
-        seen += len(candidates)
-        if seen > c.candidate_cap:
-            raise ResourceCapError(
-                f"candidate cap {c.candidate_cap} exceeded during search; "
-                f"raise it to proceed"
-            )
-        for lead in _pruned_leads(smalls, total, sorted(candidates), c):
-            fam = HypersurfaceFamily(WeightSystem((lead,) + smalls), lead + total)
-            if _passes_filters(fam, c):
-                found.append(fam)
+    for prefix, psum, pgcd, last_max in _prefixes(length, top, max_degree):
+        seen += last_max
+        if seen > cap:
+            raise _cap_exceeded(c)
+        first = prefix[0] if prefix else 0
+        for e in range(1, last_max + 1):
+            if wf and gcd(pgcd, e) != 1:
+                continue
+            total = psum + e
+            lead_min = first or e
+            lead_max = min(top, max_degree - total)
+            if every_lead:
+                leads = range(lead_min, lead_max + 1)
+            else:
+                # The lead q divides total - b for b = 0 or a smaller weight.
+                leads = set()
+                for v in (total, total - e, *[total - b for b in prefix]):
+                    for k in range(-(-v // lead_max), v // lead_min + 1):
+                        if v % k == 0:
+                            leads.add(v // k)
+            seen += len(leads)
+            if seen > cap:
+                raise _cap_exceeded(c)
+            if not leads:
+                continue
+            smalls = prefix + (e,)
+            if qs:
+                # Each smaller weight a divides total, or d - b for a smaller
+                # weight b (b = a stands for a | d).
+                for a in smalls:
+                    if total % a:
+                        allowed = {b % a for b in smalls}
+                        leads = [q for q in leads if (q + total) % a in allowed]
+                        if not leads:
+                            break
+            if wf and leads:
+                coprime_to = lcm(*omit_one_gcds(smalls))
+                leads = [q for q in leads if gcd(q, coprime_to) == 1]
+            for q in leads:
+                fam = HypersurfaceFamily(WeightSystem((q,) + smalls), q + total)
+                if _passes_filters(fam, c):
+                    found.append(fam)
     return found
 
 
@@ -204,6 +187,9 @@ def _enumerate_generic(c: SearchConstraints) -> list[HypersurfaceFamily]:
             f"search would examine {raw} (weights, degree) pairs, above the cap "
             f"{c.candidate_cap}; raise the cap or tighten the constraints"
         )
+    # Well-formedness depends on the weights alone, so it is tested once per
+    # weight system, not once per degree.
+    per_degree = replace(c, require_well_formed=False)
     found = []
     for tup in combinations_with_replacement(range(max_w, 0, -1), m):
         w = WeightSystem(tup)
@@ -211,13 +197,8 @@ def _enumerate_generic(c: SearchConstraints) -> list[HypersurfaceFamily]:
             continue
         for d in range(1, c.max_degree + 1):
             fam = HypersurfaceFamily(w, d)
-            if c.exclude_linear_cones and is_linear_cone(fam):
-                continue
-            if c.canonical_kind is not None and canonical_class(fam).kind != c.canonical_kind:
-                continue
-            if c.require_quasismooth and not quasismooth_exists(fam).exists:
-                continue
-            found.append(fam)
+            if _passes_filters(fam, per_degree):
+                found.append(fam)
     return found
 
 

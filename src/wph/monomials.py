@@ -164,7 +164,7 @@ class PolynomialSupport:
     weighted degree exactly the family degree, and rows must be distinct.
     """
 
-    __slots__ = ("family", "rows")
+    __slots__ = ("family", "rows", "_witnesses")
 
     def __init__(self, family: HypersurfaceFamily, rows: Iterable[Iterable[int]]):
         weights = family.weights.original
@@ -173,6 +173,7 @@ class PolynomialSupport:
             vecs = _checked_rows(rows, weights, family.degree)
         self.family = family
         self.rows = vecs
+        self._witnesses = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -247,6 +248,17 @@ def witness_rows(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | 
     return found
 
 
+def _support_witnesses(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | None]]]:
+    """:func:`witness_rows` of the support, found once and kept on it.
+
+    The existence check and the distinguished minor both read it; callers
+    must not modify the lists.
+    """
+    if p._witnesses is None:
+        p._witnesses = witness_rows(p)
+    return p._witnesses
+
+
 def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
     """Per-variable necessary condition for quasismoothness of an explicit member.
 
@@ -258,7 +270,7 @@ def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
     return MonomialExistenceReport(
         witnesses=tuple(
             VariableWitness(variable=i, witness=rows[0][0] if rows else None)
-            for i, rows in enumerate(witness_rows(p))
+            for i, rows in enumerate(_support_witnesses(p))
         )
     )
 

@@ -10,12 +10,14 @@ nonempty index subset I one of the following holds:
 One traversal visits the subsets in increasing size, lexicographically within
 a size, and yields each failing one as a :class:`SubsetDiagnostic`. A
 singleton {i} reduces to divisibility (d or some d - a_j a multiple of a_i),
-so it never has an outside witness when it fails. Larger subsets read one
-representability mask of d + 1 bits per distinct set of weight values.
-By default the scan stops at the first failure; with ``diagnostics=True`` it
-runs to the end and reports every failing subset. A passing family visits
-every subset either way. Subset indices refer to the canonical
-(non-increasing) weight order.
+so it never has an outside witness when it fails. A larger subset reads a
+representability mask of d + 1 bits, built from its parent's mask (the
+subset without its last index) by closing it under one more weight; only
+singleton masks come from :func:`representable_mask`, and the masks of one
+size are kept until the next size is built. By default the scan stops at the
+first failure; with ``diagnostics=True`` it runs to the end and reports every
+failing subset. A passing family visits every subset either way. Subset
+indices refer to the canonical (non-increasing) weight order.
 """
 
 from __future__ import annotations
@@ -57,28 +59,49 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
 
 
 def _failing_subsets(weights, d):
-    """Failing subsets of the criterion, as diagnostics in (size, lex) order."""
+    """Failing subsets of the criterion, as diagnostics in (size, lex) order.
+
+    The mask of a subset of two or more indices closes its parent's mask (the
+    subset without its last index) under the last weight. Children are made
+    from the parents of one size in lex order, so they come out in lex order
+    too, and only the masks of subsets that can be parents (last index below
+    m - 1) are kept, for one size at a time.
+    """
+    m = len(weights)
     for i, a in enumerate(weights):
         if d % a and not any(
             j != i and d >= b and (d - b) % a == 0 for j, b in enumerate(weights)
         ):
             yield SubsetDiagnostic((i,), False, (), 1)
-    masks: dict[frozenset[int], int] = {}
-    for size in range(2, len(weights) + 1):
-        for subset in combinations(range(len(weights)), size):
-            values = frozenset(weights[i] for i in subset)
-            mask = masks.get(values)
-            if mask is None:
-                mask = masks[values] = representable_mask(d, values)
-            if (mask >> d) & 1:
-                continue
-            witnesses = tuple(
-                j
-                for j, a in enumerate(weights)
-                if j not in subset and a <= d and (mask >> (d - a)) & 1
-            )
-            if len(witnesses) < size:
-                yield SubsetDiagnostic(subset, False, witnesses, size)
+    full = (1 << (d + 1)) - 1
+    masks = [representable_mask(d, (a,)) for a in weights[:-1]]
+    for size in range(2, m + 1):
+        kept = []
+        for parent, mask in zip(combinations(range(m - 1), size - 1), masks):
+            for j in range(parent[-1] + 1, m):
+                child = mask
+                g = weights[j]
+                # A representable g leaves the semigroup as it is, which
+                # covers a weight equal to the one before it. Once d is
+                # representable only bit d is read, here and below.
+                if not (child >> g) & 1 and not (child >> d) & 1:
+                    shift = g
+                    while shift <= d:
+                        child |= (child << shift) & full
+                        shift <<= 1
+                if j < m - 1:
+                    kept.append(child)
+                if (child >> d) & 1:
+                    continue
+                subset = parent + (j,)
+                witnesses = tuple(
+                    k
+                    for k, a in enumerate(weights)
+                    if k not in subset and a <= d and (child >> (d - a)) & 1
+                )
+                if len(witnesses) < size:
+                    yield SubsetDiagnostic(subset, False, witnesses, size)
+        masks = kept
 
 
 def quasismooth_exists(

@@ -49,8 +49,8 @@ from .monomials import (
     ExponentVector,
     PolynomialSupport,
     _capped,
+    _support_witnesses,
     iter_monomials,
-    witness_rows,
     witness_shaped,
 )
 from .quasismooth import quasismooth_exists
@@ -239,7 +239,7 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
     m = len(weights)
     picked_rows: list[ExponentVector] = []
     choices: list[MinorChoice] = []
-    for i, candidates in enumerate(witness_rows(p)):
+    for i, candidates in enumerate(_support_witnesses(p)):
         if not candidates:
             raise MissingWitnessError(i)
         pure = [c for c in candidates if c[1] is None]

@@ -3,8 +3,9 @@
 Each oracle here deliberately uses a different algorithm than the library
 code it checks: recursive cofactor determinants against Bareiss elimination,
 recursive enumeration against an odometer, power-series convolution against
-enumeration, list-based dynamic programming against bitmask closure, and
-root-of-unity counting against Smith normal forms.
+enumeration, list-based dynamic programming against bitmask closure,
+root-of-unity counting against Smith normal forms, and a divisor-table census
+against the arithmetic lead loop.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 from hypothesis import HealthCheck, settings
 
@@ -22,7 +24,11 @@ from wph import (
     WeightedPolynomial,
     WeightSystem,
     enumerate_monomials,
+    is_linear_cone,
+    is_well_formed,
+    quasismooth_exists,
 )
+from wph.weights import omit_one_gcds
 
 settings.register_profile(
     "wph",
@@ -185,6 +191,66 @@ def naive_quasismooth_failures(weights, degree: int) -> list[tuple]:
 def naive_quasismooth_exists(weights, degree: int) -> bool:
     """Independent restatement of the subset criterion with plain list DP."""
     return not naive_quasismooth_failures(weights, degree)
+
+
+def reference_cy_census(c) -> list:
+    """The Calabi-Yau census of ``SearchConstraints`` c by the earlier method.
+
+    Walks every sorted tuple of smaller weights with entries and sum below
+    the degree bound, takes the leads from a divisor table, prunes them with
+    residue sets (singleton condition at each smaller weight) and omit-one
+    gcds, and checks the survivors with the public predicates. Returns the
+    families sorted like ``enumerate_families``.
+    """
+    m = c.variables
+    max_w = min(c.effective_max_weight, c.max_degree - m + 1)
+    if max_w < 1:
+        return []
+    divisors = [[] for _ in range(c.max_degree + 1)]
+    for q in range(1, c.max_degree + 1):
+        for v in range(q, c.max_degree + 1, q):
+            divisors[v].append(q)
+
+    def sorted_tuples(length, bound, budget):
+        if length == 0:
+            yield ()
+            return
+        for e in range(min(bound, budget - length + 1), 0, -1):
+            for rest in sorted_tuples(length - 1, e, budget - e):
+                yield (e,) + rest
+
+    found = []
+    for smalls in sorted_tuples(m - 1, max_w, c.max_degree - 1):
+        total = sum(smalls)
+        if total + smalls[0] > c.max_degree:
+            continue
+        lead_range = range(smalls[0], min(max_w, c.max_degree - total) + 1)
+        if not c.require_quasismooth:
+            leads = set(lead_range)
+        else:
+            leads = set()
+            for v in {total} | {total - s for s in smalls}:
+                leads.update(lead_range if v == 0 else (q for q in divisors[v] if q in lead_range))
+            for a in set(smalls):
+                if total % a:
+                    allowed = {(b - total) % a for b in smalls}
+                    leads = {q for q in leads if q % a in allowed}
+        if c.require_well_formed:
+            if gcd(*smalls) != 1:
+                continue
+            coprime_to = lcm(*omit_one_gcds(smalls))
+            leads = {q for q in leads if gcd(q, coprime_to) == 1}
+        for lead in leads:
+            fam = HypersurfaceFamily.of((lead,) + smalls, lead + total)
+            if c.exclude_linear_cones and is_linear_cone(fam):
+                continue
+            if c.require_well_formed and not is_well_formed(fam.weights):
+                continue
+            if c.require_quasismooth and not quasismooth_exists(fam).exists:
+                continue
+            found.append(fam)
+    found.sort(key=lambda f: (f.degree, f.weights.canonical))
+    return found
 
 
 def monomial_witness_oracle(weights, degree: int, variable: int) -> bool:

@@ -1,6 +1,7 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from conftest import reference_cy_census
 
 from wph import (
     CanonicalKind,
@@ -22,6 +23,12 @@ def census(dim, kind=CanonicalKind.CALABI_YAU, **kwargs):
     )
 
 
+def cy_constraints(dim, max_degree, **kwargs):
+    return SearchConstraints(
+        dimension=dim, canonical_kind=CanonicalKind.CALABI_YAU, max_degree=max_degree, **kwargs
+    )
+
+
 def as_pairs(families):
     return [(f.degree, f.weights.canonical) for f in families]
 
@@ -33,13 +40,14 @@ def brute_force_cy(
     require_well_formed=True,
     require_quasismooth=True,
     exclude_linear_cones=True,
+    max_weight=None,
 ):
     """Direct scan of every sorted weight tuple, public predicates only."""
     m = dim + 2
     out = []
     for ws in combinations_with_replacement(range(1, max_degree + 1), m):
         d = sum(ws)
-        if d > max_degree:
+        if d > max_degree or (max_weight is not None and ws[-1] > max_weight):
             continue
         fam = HypersurfaceFamily.of(tuple(reversed(ws)), d)
         if exclude_linear_cones and is_linear_cone(fam):
@@ -92,6 +100,37 @@ class TestAgainstBruteForce:
         )
         got = as_pairs(census(dim, max_degree=max_degree, **switches))
         assert got == as_pairs(brute_force_cy(dim, max_degree, **switches))
+        assert got == as_pairs(reference_cy_census(cy_constraints(dim, max_degree, **switches)))
+        assert got
+
+    @pytest.mark.parametrize(
+        "dim, max_degree, max_weight",
+        [(0, 20, 1), (0, 20, 7), (1, 30, 2), (1, 30, 5), (2, 44, 9), (2, 44, 15), (3, 30, 6)],
+    )
+    @pytest.mark.parametrize("quasismooth", [True, False])
+    def test_cy_max_weight(self, dim, max_degree, max_weight, quasismooth):
+        got = as_pairs(
+            census(dim, max_degree=max_degree, max_weight=max_weight,
+                   require_quasismooth=quasismooth)
+        )
+        expected = brute_force_cy(
+            dim, max_degree, max_weight=max_weight, require_quasismooth=quasismooth
+        )
+        assert got == as_pairs(expected)
+        assert got == as_pairs(reference_cy_census(cy_constraints(
+            dim, max_degree, max_weight=max_weight, require_quasismooth=quasismooth
+        )))
+        assert all(max(ws) <= max_weight for _, ws in got)
+        assert got
+
+
+class TestAgainstReferenceEnumerator:
+    """The lead loop against the divisor-table census it replaced."""
+
+    @pytest.mark.parametrize("dim, max_degree", [(2, 120), (3, 60), (4, 30)])
+    def test_cy(self, dim, max_degree):
+        got = as_pairs(census(dim, max_degree=max_degree))
+        assert got == as_pairs(reference_cy_census(cy_constraints(dim, max_degree)))
         assert got
 
 
@@ -181,13 +220,13 @@ class TestResourceCap:
             census(2, max_degree=300, candidate_cap=50)
 
     def test_cy_cap_threshold(self):
-        # The raw candidates of this census number 2784 (smaller-weight
-        # tuples plus the leading weights the divisor pruning keeps); the
-        # tests that reject leads before any family is built do not lower
-        # that count.
-        assert len(census(2, max_degree=40, candidate_cap=2784)) == 87
+        # The steps of this census number 1357: the smaller-weight tuples
+        # visited plus the leads the singleton condition at the lead keeps;
+        # the tests that reject leads before any family is built do not
+        # lower that count.
+        assert len(census(2, max_degree=40, candidate_cap=1357)) == 87
         with pytest.raises(ResourceCapError):
-            census(2, max_degree=40, candidate_cap=2783)
+            census(2, max_degree=40, candidate_cap=1356)
 
     def test_generic_cap(self):
         constraints = SearchConstraints(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wph.cli
+import wph.monomials
 import wph.symmetry
 from wph.cli import _write_json, main
 
@@ -124,6 +125,22 @@ class TestSymmetry:
         assert minor["determinant"] == 28
         assert minor["bound"] == "64"
         assert minor["bound_holds"] is True
+
+    def test_witness_rows_found_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = wph.monomials.witness_rows
+
+        def counted(support):
+            calls.append(support)
+            return original(support)
+
+        for module in (wph.monomials, wph.symmetry):
+            if hasattr(module, "witness_rows"):
+                monkeypatch.setattr(module, "witness_rows", counted)
+        payload = run_json(capsys, "symmetry", write_support(tmp_path, "klein.json", KLEIN))
+        assert payload["monomial_existence"]["passed"] is True
+        assert payload["distinguished_minor"]["determinant"] == 28
+        assert len(calls) == 1
 
     def test_klein_text(self, capsys, tmp_path):
         path = write_support(tmp_path, "klein.json", KLEIN)

@@ -5,7 +5,9 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
+import wph.quasismooth
 from wph import (
+    REPRESENTABLE_TARGET_CAP,
     HypersurfaceFamily,
     PolynomialSupport,
     ResourceCapError,
@@ -107,6 +109,50 @@ class TestAgainstIndependentReimplementation:
         b = quasismooth_exists(HypersurfaceFamily.of(shuffled, d))
         assert a.exists == b.exists
         assert a.is_linear_cone == b.is_linear_cone
+
+
+class TestParentMasks:
+    """Each mask closes its parent's mask under one weight."""
+
+    def test_random_families_with_repeated_weights(self):
+        rng = random.Random(8128)
+        larger_failures = 0
+        for _ in range(400):
+            m = rng.randint(2, 10)
+            pool = [rng.randint(1, 12) for _ in range(rng.randint(1, m))]
+            ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
+            d = rng.randint(1, 60)
+            fam = HypersurfaceFamily.of(ws, d)
+            expected = naive_quasismooth_failures(ws, d)
+            full = quasismooth_exists(fam, diagnostics=True)
+            fast = quasismooth_exists(fam)
+            assert [astuple(s) for s in full.failing_subsets] == expected, (ws, d)
+            assert [astuple(s) for s in fast.failing_subsets] == expected[:1], (ws, d)
+            larger_failures += any(len(f[0]) > 1 for f in expected)
+        assert larger_failures >= 40
+
+    def test_only_singleton_masks_are_computed_directly(self, monkeypatch):
+        calls = []
+        original = wph.quasismooth.representable_mask
+
+        def counted(limit, generators):
+            calls.append(tuple(generators))
+            return original(limit, generators)
+
+        monkeypatch.setattr(wph.quasismooth, "representable_mask", counted)
+        assert quasismooth_exists(HypersurfaceFamily.of([36, 31, 30, 25], 180)).exists
+        assert calls == [(36,), (31,), (30,)]
+
+    def test_degree_over_the_target_cap(self):
+        d = REPRESENTABLE_TARGET_CAP + 2
+        for diagnostics in (False, True):
+            with pytest.raises(ResourceCapError):
+                quasismooth_exists(HypersurfaceFamily.of([2, 2], d), diagnostics=diagnostics)
+        # A failing singleton ends the fast scan before any mask is built.
+        fam = HypersurfaceFamily.of([5, 3], REPRESENTABLE_TARGET_CAP + 1)
+        assert quasismooth_exists(fam).failing_subsets[0].subset == (0,)
+        with pytest.raises(ResourceCapError):
+            quasismooth_exists(fam, diagnostics=True)
 
 
 class TestConsistencyWithMonomialExistence:
