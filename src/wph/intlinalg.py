@@ -315,10 +315,18 @@ def representable_mask(limit: int, generators: Iterable[int]) -> int:
     mask = 1
     full = (1 << (limit + 1)) - 1
     for g in gens:
-        shift = g
-        while shift <= limit:
-            mask |= (mask << shift) & full
-            shift <<= 1
+        mask = _closed(mask, g, limit, full)
+    return mask
+
+
+def _closed(mask: int, g: int, limit: int, full: int) -> int:
+    """``mask`` closed under adding g, up to bit ``limit`` (``full`` is the
+    mask of bits 0..limit): after the shifts by g, 2g, ..., 2^k g it holds
+    mask + {0, ..., 2^(k+1) - 1} * g."""
+    shift = g
+    while shift <= limit:
+        mask |= (mask << shift) & full
+        shift <<= 1
     return mask
 
 

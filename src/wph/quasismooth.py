@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .errors import ResourceCapError
-from .intlinalg import representable_mask
+from .intlinalg import _closed, representable_mask
 from .weights import HypersurfaceFamily
 
 MAX_SUBSET_VARIABLES = 24
@@ -73,22 +73,19 @@ def _failing_subsets(weights, d):
             j != i and d >= b and (d - b) % a == 0 for j, b in enumerate(weights)
         ):
             yield SubsetDiagnostic((i,), False, (), 1)
-    full = (1 << (d + 1)) - 1
     masks = [representable_mask(d, (a,)) for a in weights[:-1]]
+    full = (1 << (d + 1)) - 1
     for size in range(2, m + 1):
         kept = []
         for parent, mask in zip(combinations(range(m - 1), size - 1), masks):
             for j in range(parent[-1] + 1, m):
                 child = mask
                 g = weights[j]
+                # Once d is representable only bit d is read, here and below.
                 # A representable g leaves the semigroup as it is, which
-                # covers a weight equal to the one before it. Once d is
-                # representable only bit d is read, here and below.
-                if not (child >> g) & 1 and not (child >> d) & 1:
-                    shift = g
-                    while shift <= d:
-                        child |= (child << shift) & full
-                        shift <<= 1
+                # covers a weight equal to the one before it.
+                if not (child >> d) & 1 and not (child >> g) & 1:
+                    child = _closed(child, g, d, full)
                 if j < m - 1:
                     kept.append(child)
                 if (child >> d) & 1:

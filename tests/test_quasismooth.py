@@ -144,10 +144,10 @@ class TestParentMasks:
         assert calls == [(36,), (31,), (30,)]
 
     def test_degree_over_the_target_cap(self):
-        d = REPRESENTABLE_TARGET_CAP + 2
-        for diagnostics in (False, True):
-            with pytest.raises(ResourceCapError):
-                quasismooth_exists(HypersurfaceFamily.of([2, 2], d), diagnostics=diagnostics)
+        for d in (REPRESENTABLE_TARGET_CAP + 2, 10**15):
+            for diagnostics in (False, True):
+                with pytest.raises(ResourceCapError):
+                    quasismooth_exists(HypersurfaceFamily.of([2, 2], d), diagnostics=diagnostics)
         # A failing singleton ends the fast scan before any mask is built.
         fam = HypersurfaceFamily.of([5, 3], REPRESENTABLE_TARGET_CAP + 1)
         assert quasismooth_exists(fam).failing_subsets[0].subset == (0,)
