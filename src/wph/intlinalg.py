@@ -320,9 +320,8 @@ def representable_mask(limit: int, generators: Iterable[int]) -> int:
 
 
 def _closed(mask: int, g: int, limit: int, full: int) -> int:
-    """``mask`` closed under adding g, up to bit ``limit`` (``full`` is the
-    mask of bits 0..limit): after the shifts by g, 2g, ..., 2^k g it holds
-    mask + {0, ..., 2^(k+1) - 1} * g."""
+    """``mask`` closed under adding g up to bit ``limit``; ``full`` has bits
+    0..limit set. Shifting by g, 2g, ..., 2^k g adds 0..2^(k+1) - 1 times g."""
     shift = g
     while shift <= limit:
         mask |= (mask << shift) & full

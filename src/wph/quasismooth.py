@@ -61,11 +61,8 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
 def _failing_subsets(weights, d):
     """Failing subsets of the criterion, as diagnostics in (size, lex) order.
 
-    The mask of a subset of two or more indices closes its parent's mask (the
-    subset without its last index) under the last weight. Children are made
-    from the parents of one size in lex order, so they come out in lex order
-    too, and only the masks of subsets that can be parents (last index below
-    m - 1) are kept, for one size at a time.
+    Parents of one size, in lex order, give their children in lex order; only
+    the masks of subsets that can be parents (last index below m - 1) are kept.
     """
     m = len(weights)
     for i, a in enumerate(weights):
