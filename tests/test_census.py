@@ -131,6 +131,10 @@ class TestAgainstReferenceEnumerator:
     def test_cy(self, dim, max_degree):
         got = as_pairs(census(dim, max_degree=max_degree))
         assert got == as_pairs(reference_cy_census(cy_constraints(dim, max_degree)))
+        # The brute force at dim 2 to 120 takes several seconds; dims 0-3
+        # meet it at smaller bounds above.
+        if dim > 2:
+            assert got == as_pairs(brute_force_cy(dim, max_degree))
         assert got
 
 
