@@ -303,10 +303,7 @@ def representable_mask(limit: int, generators: Iterable[int]) -> int:
     limit = int(limit)
     if limit < 0:
         raise ValidationError("limit must be nonnegative")
-    if limit > REPRESENTABLE_TARGET_CAP:
-        raise ResourceCapError(
-            f"representability target {limit} exceeds cap {REPRESENTABLE_TARGET_CAP}"
-        )
+    _check_target_cap(limit)
     gens = sorted({int(g) for g in generators})
     if not gens:
         raise ValidationError("generator list must be nonempty")
@@ -317,6 +314,13 @@ def representable_mask(limit: int, generators: Iterable[int]) -> int:
     for g in gens:
         mask = _closed(mask, g, limit, full)
     return mask
+
+
+def _check_target_cap(limit: int) -> None:
+    if limit > REPRESENTABLE_TARGET_CAP:
+        raise ResourceCapError(
+            f"representability target {limit} exceeds cap {REPRESENTABLE_TARGET_CAP}"
+        )
 
 
 def _closed(mask: int, g: int, limit: int, full: int) -> int:

@@ -3,6 +3,9 @@ from itertools import combinations_with_replacement
 import pytest
 from conftest import reference_cy_census
 
+import wph.census
+from wph.census import _dominated_lasts
+
 from wph import (
     CanonicalKind,
     HypersurfaceFamily,
@@ -15,6 +18,16 @@ from wph import (
     is_well_formed,
     quasismooth_exists,
 )
+
+
+class IndexOnly:
+    """An integer-like value that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def census(dim, kind=CanonicalKind.CALABI_YAU, **kwargs):
@@ -59,6 +72,71 @@ def brute_force_cy(
         out.append(fam)
     out.sort(key=lambda f: (f.degree, f.weights.canonical))
     return out
+
+
+def descending_tuples(length, bound, budget):
+    """Non-increasing tuples of positive integers at most bound, sum <= budget."""
+    if length == 0:
+        yield ()
+        return
+    for e in range(min(bound, budget - length + 1), 0, -1):
+        for rest in descending_tuples(length - 1, e, budget - e):
+            yield (e,) + rest
+
+
+def singleton_passes(ws, i):
+    """The singleton condition at index i for the degree d = sum(ws)."""
+    d, a = sum(ws), ws[i]
+    return d % a == 0 or any(j != i and (d - b) % a == 0 for j, b in enumerate(ws))
+
+
+class TestDominanceLemma:
+    """The dominance test of the census on every sorted Calabi-Yau tuple."""
+
+    @pytest.mark.parametrize("m, max_degree", [(3, 80), (4, 60), (5, 40), (6, 36)])
+    def test_dominant_tuples_meet_the_equations(self, m, max_degree):
+        checked = dominant = 0
+        for ws in descending_tuples(m, max_degree, max_degree):
+            if not (singleton_passes(ws, 0) and singleton_passes(ws, 1)):
+                continue
+            checked += 1
+            q, a1, *tail = ws
+            s = sum(tail)
+            if m >= 4:
+                assert a1 <= 2 * s, ws
+            if s >= a1:
+                continue
+            dominant += 1
+            witnesses = {0, *tail}
+            assert any(
+                q == a1 + s - b and (a1 == 2 * s - b - b2 or (m == 3 and 2 * s == b + b2))
+                for b in witnesses
+                for b2 in witnesses
+            ), ws
+        assert checked > 500
+        assert dominant > 25
+
+    @pytest.mark.parametrize("tail_length", [1, 2, 3])
+    def test_dominated_lasts_solve_the_equations(self, tail_length):
+        # Every e below the split that some b, b' in {0, e} or the tail
+        # satisfy, and no other; a_1 = 2 (rest) lets every e through.
+        every_e = 0
+        for a1 in range(2, 25):
+            for tail in descending_tuples(tail_length, a1, a1 - 1):
+                rest = sum(tail)
+                hi = a1 - rest - 1
+                expected = [
+                    e
+                    for e in range(1, hi + 1)
+                    if any(
+                        a1 == 2 * (rest + e) - b - b2
+                        for b in (0, e, *tail)
+                        for b2 in (0, e, *tail)
+                    )
+                ]
+                assert list(_dominated_lasts(a1, rest, tail, hi)) == expected, (a1, tail)
+                every_e += a1 == 2 * rest and hi > 0
+        assert every_e
 
 
 class TestEllipticCensus:
@@ -163,6 +241,37 @@ class TestGenericSearch:
         assert got == expected
         assert len(got) > 0
 
+    @pytest.mark.parametrize("kind", [CanonicalKind.FANO, CanonicalKind.GENERAL_TYPE])
+    def test_kind_matches_brute_force(self, kind, monkeypatch):
+        tried = []
+        original = wph.census._passes_filters
+
+        def recorded(fam, c):
+            tried.append(fam)
+            return original(fam, c)
+
+        monkeypatch.setattr(wph.census, "_passes_filters", recorded)
+        constraints = SearchConstraints(
+            dimension=1, canonical_kind=kind, max_degree=14, max_weight=5
+        )
+        got = as_pairs(enumerate_families(constraints))
+        expected = []
+        for ws in combinations_with_replacement(range(1, 6), 3):
+            for d in range(1, 15):
+                fam = HypersurfaceFamily.of(tuple(reversed(ws)), d)
+                if (
+                    canonical_class(fam).kind is kind
+                    and not is_linear_cone(fam)
+                    and is_well_formed(fam.weights)
+                    and quasismooth_exists(fam).exists
+                ):
+                    expected.append((d, fam.weights.canonical))
+        assert got == sorted(expected)
+        assert got
+        # Only degrees on the kind's side of the weight sum reach the filters.
+        assert tried
+        assert all(canonical_class(fam).kind is kind for fam in tried)
+
     def test_fano_filter(self):
         constraints = SearchConstraints(
             dimension=1,
@@ -224,13 +333,14 @@ class TestResourceCap:
             census(2, max_degree=300, candidate_cap=50)
 
     def test_cy_cap_threshold(self):
-        # The steps of this census number 1357: the smaller-weight tuples
-        # visited plus the leads the singleton condition at the lead keeps;
-        # the tests that reject leads before any family is built do not
-        # lower that count.
-        assert len(census(2, max_degree=40, candidate_cap=1357)) == 87
+        # The steps of this census number 1020: 127 prefixes walked, 303
+        # smaller-weight tuples visited (of 478 with sum plus largest within
+        # the bound; the dominance test skips the other 175 uncounted) and
+        # 590 leads kept by the singleton condition at the lead. The tests
+        # that reject leads before any family is built do not lower that count.
+        assert len(census(2, max_degree=40, candidate_cap=1020)) == 87
         with pytest.raises(ResourceCapError):
-            census(2, max_degree=40, candidate_cap=1356)
+            census(2, max_degree=40, candidate_cap=1019)
 
     def test_generic_cap(self):
         constraints = SearchConstraints(
@@ -248,3 +358,35 @@ class TestResourceCap:
             SearchConstraints(dimension=-1)
         with pytest.raises(ValidationError):
             SearchConstraints(dimension=1, max_degree=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dimension", True),
+            ("dimension", 1.0),
+            ("max_degree", 30.0),
+            ("max_degree", True),
+            ("max_weight", 5.0),
+            ("max_weight", False),
+            ("candidate_cap", 2.5),
+            ("candidate_cap", True),
+            ("candidate_cap", "100"),
+        ],
+    )
+    def test_integer_fields_reject_bools_and_floats(self, field, value):
+        fields = dict(dimension=1, canonical_kind=CanonicalKind.CALABI_YAU, max_degree=30)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=field):
+            SearchConstraints(**fields)
+
+    def test_integer_fields_are_plain_ints(self):
+        c = SearchConstraints(
+            dimension=IndexOnly(1),
+            max_degree=IndexOnly(30),
+            max_weight=IndexOnly(5),
+            candidate_cap=IndexOnly(99),
+        )
+        got = (c.dimension, c.max_degree, c.max_weight, c.candidate_cap)
+        assert got == (1, 30, 5, 99)
+        assert {type(v) for v in got} == {int}
+        assert SearchConstraints(dimension=1).max_weight is None

@@ -131,17 +131,33 @@ class TestParentMasks:
             larger_failures += any(len(f[0]) > 1 for f in expected)
         assert larger_failures >= 40
 
+    def test_scans_past_the_cached_traversal_plans(self):
+        # More weights than _CACHED_STEP_VARIABLES: the plan is built per call.
+        rng = random.Random(1729)
+        larger_failures = 0
+        for _ in range(5):
+            m = wph.quasismooth._CACHED_STEP_VARIABLES + rng.randint(1, 2)
+            pool = [rng.randint(2, 16) for _ in range(3)]
+            ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
+            d = rng.randint(20, 48)
+            expected = naive_quasismooth_failures(ws, d)
+            report = quasismooth_exists(HypersurfaceFamily.of(ws, d), diagnostics=True)
+            assert [astuple(s) for s in report.failing_subsets] == expected, (ws, d)
+            larger_failures += any(len(f[0]) > 1 for f in expected)
+        assert larger_failures >= 2
+
     def test_only_singleton_masks_are_computed_directly(self, monkeypatch):
-        calls = []
-        original = wph.quasismooth.representable_mask
+        fresh = []
+        original = wph.quasismooth._closed
 
-        def counted(limit, generators):
-            calls.append(tuple(generators))
-            return original(limit, generators)
+        def counted(mask, g, limit, full):
+            if mask == 1:  # the semigroup of no weights: a mask built from scratch
+                fresh.append(g)
+            return original(mask, g, limit, full)
 
-        monkeypatch.setattr(wph.quasismooth, "representable_mask", counted)
+        monkeypatch.setattr(wph.quasismooth, "_closed", counted)
         assert quasismooth_exists(HypersurfaceFamily.of([36, 31, 30, 25], 180)).exists
-        assert calls == [(36,), (31,), (30,)]
+        assert fresh == [36, 31, 30]
 
     def test_degree_over_the_target_cap(self):
         for d in (REPRESENTABLE_TARGET_CAP + 2, 10**15):

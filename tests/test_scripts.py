@@ -30,3 +30,16 @@ def test_run_census(monkeypatch, capsys):
     )
     assert out.startswith("# dimension 1, max degree 30: 3 families in ")
     assert out.count("\n") == 1
+
+
+def test_run_census_saturation(monkeypatch, capsys):
+    out = run_script(
+        "run_census.py",
+        ["--dim", "2", "--max-degree", "100", "--saturation-degree", "120", "--quiet"],
+        monkeypatch,
+        capsys,
+    )
+    first, second = out.splitlines()
+    assert first.startswith("# dimension 2, max degree 100: 95 families in ")
+    assert second.startswith("# saturation at max degree 120: 95 families in ")
+    assert second.endswith("(unchanged)")
