@@ -18,28 +18,23 @@ size are kept until the next size is built. Degrees above
 ``REPRESENTABLE_TARGET_CAP`` raise :class:`ResourceCapError` when the scan
 reaches subsets of two weights, before any mask is built. A subset whose
 mask lacks d counts its outside witnesses by popcounts against fixed masks
-of the bits d - a_j, and builds the witness tuple only when it fails. The
-order of parents and children for up to 12 weights is computed once per
-weight count. By default the scan stops at the first failure; with
-``diagnostics=True`` it runs to the end and reports every failing subset. A
-passing family visits every subset either way. Subset indices refer to the
-canonical (non-increasing) weight order.
+of the bits d - a_j, and builds the witness tuple only when it fails. By
+default the scan stops at the first failure; with ``diagnostics=True`` it
+runs to the end and reports every failing subset. A passing family visits
+every subset either way. Subset indices refer to the canonical
+(non-increasing) weight order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 
 from .errors import ResourceCapError
 from .intlinalg import _check_target_cap, _closed
 from .weights import HypersurfaceFamily
 
 MAX_SUBSET_VARIABLES = 24
-#: Scans of at most this many weights reuse one traversal plan per weight
-#: count (2^12 subsets at most); larger ones build theirs a size at a time.
-_CACHED_STEP_VARIABLES = 12
 
 
 @dataclass(frozen=True)
@@ -68,31 +63,11 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
     return fam.degree in fam.weights.canonical
 
 
-def _subset_steps(m):
-    """The subsets of two or more of m indices, one size at a time.
-
-    Yields (parents, children) per size: the parents are the subsets one
-    smaller whose last index is below m - 1, in lex order, and the children
-    are (parent position, new index) pairs in (size, lex) order. The next
-    size's parents are the children that can themselves be parents.
-    """
-    parents = [(i,) for i in range(m - 1)]
-    while parents:
-        children = [(p, j) for p, parent in enumerate(parents) for j in range(parent[-1] + 1, m)]
-        yield parents, children
-        parents = [parents[p] + (j,) for p, j in children if j < m - 1]
-
-
-@lru_cache(maxsize=_CACHED_STEP_VARIABLES)
-def _cached_subset_steps(m):
-    return tuple((tuple(parents), tuple(children)) for parents, children in _subset_steps(m))
-
-
 def _failing_subsets(weights, d):
     """Failing subsets of the criterion, as diagnostics in (size, lex) order.
 
-    Each child reads its parent's mask; only the masks of children that can
-    be parents are kept, in the order of the next size's parents.
+    Parents of one size, in lex order, give their children in lex order; only
+    the masks of subsets that can be parents (last index below m - 1) are kept.
     """
     m = len(weights)
     # a_i must divide d or some d - a_j; j = i adds nothing, as d - a_i = d
@@ -112,26 +87,26 @@ def _failing_subsets(weights, d):
         if a <= d:
             layers[weights[:k].count(a)] |= 1 << (d - a)
     layers = [t for t in layers if t]
-    steps = _cached_subset_steps(m) if m <= _CACHED_STEP_VARIABLES else _subset_steps(m)
-    for size, (parents, children) in enumerate(steps, 2):
+    for size in range(2, m + 1):
         kept = []
-        for p, j in children:
-            child = masks[p]
-            g = weights[j]
-            # Once d is representable only bit d is read, here and below. A
-            # representable g leaves the semigroup as it is, which covers a
-            # weight equal to the one before it.
-            if not (child >> d) & 1 and not (child >> g) & 1:
-                child = _closed(child, g, d, full)
-            if j < m - 1:
-                kept.append(child)
-            if (child >> d) & 1:
-                continue
-            if sum([(child & t).bit_count() for t in layers]) < size:
-                witnesses = tuple(
-                    k for k, a in enumerate(weights) if a <= d and (child >> (d - a)) & 1
-                )
-                yield SubsetDiagnostic(parents[p] + (j,), False, witnesses, size)
+        for parent, mask in zip(combinations(range(m - 1), size - 1), masks):
+            for j in range(parent[-1] + 1, m):
+                child = mask
+                g = weights[j]
+                # Once d is representable only bit d is read, here and below.
+                # A representable g leaves the semigroup as it is, which
+                # covers a weight equal to the one before it.
+                if not (child >> d) & 1 and not (child >> g) & 1:
+                    child = _closed(child, g, d, full)
+                if j < m - 1:
+                    kept.append(child)
+                if (child >> d) & 1:
+                    continue
+                if sum([(child & t).bit_count() for t in layers]) < size:
+                    witnesses = tuple(
+                        k for k, a in enumerate(weights) if a <= d and (child >> (d - a)) & 1
+                    )
+                    yield SubsetDiagnostic(parent + (j,), False, witnesses, size)
         masks = kept
 
 

@@ -131,21 +131,6 @@ class TestParentMasks:
             larger_failures += any(len(f[0]) > 1 for f in expected)
         assert larger_failures >= 40
 
-    def test_scans_past_the_cached_traversal_plans(self):
-        # More weights than _CACHED_STEP_VARIABLES: the plan is built per call.
-        rng = random.Random(1729)
-        larger_failures = 0
-        for _ in range(5):
-            m = wph.quasismooth._CACHED_STEP_VARIABLES + rng.randint(1, 2)
-            pool = [rng.randint(2, 16) for _ in range(3)]
-            ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
-            d = rng.randint(20, 48)
-            expected = naive_quasismooth_failures(ws, d)
-            report = quasismooth_exists(HypersurfaceFamily.of(ws, d), diagnostics=True)
-            assert [astuple(s) for s in report.failing_subsets] == expected, (ws, d)
-            larger_failures += any(len(f[0]) > 1 for f in expected)
-        assert larger_failures >= 2
-
     def test_only_singleton_masks_are_computed_directly(self, monkeypatch):
         fresh = []
         original = wph.quasismooth._closed
