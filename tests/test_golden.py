@@ -66,6 +66,11 @@ CASES = {
         "check", "--weights", "9,9,9,6,5,2", "--degree", "32", "--json",
     ],
     "check_subset_failures_text": ["check", "--weights", "11,9,8,6,3,3", "--degree", "17"],
+    # nontrivial forced groups besides the flagship: unsorted weights, and text mode
+    "check_forced_order_two_unsorted_json": [
+        "check", "--json", "--weights", "4,9,6,7", "--degree", "18",
+    ],
+    "check_forced_order_two_text": ["check", "--weights", "13,10,9,6", "--degree", "36"],
     # the 95 K3 families and the CY threefolds up to degree 40
     "enumerate_k3_json": [
         "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", "100", "--json",
