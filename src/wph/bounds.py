@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .intlinalg import partitions_of
-from .weights import HypersurfaceFamily, WeightSystem
+from .weights import HypersurfaceFamily, WeightSystem, as_int
 
 #: Effective constant for curves from the classification of large automorphism
 #: groups of plane curves: 6 * d^2 / (abc) holds with exactly two exceptional
@@ -231,7 +231,7 @@ def worst_case_constant(n: int, table: JordanTable) -> Fraction:
     Maximizes the multiplicity product over all partitions of n+2. Monotone
     in every table entry.
     """
-    n = int(n)
+    n = as_int(n, "dimension")
     if n < 0:
         raise ValidationError("dimension must be >= 0")
     best = Fraction(0)

@@ -5,7 +5,8 @@ No floating point is used anywhere: every downstream claim built on these
 routines is exact. The main entry points are
 
 * :func:`smith_normal_form`, a deterministic Smith normal form with the
-  unimodular transforms recorded,
+  unimodular transforms recorded, and :func:`invariant_factors`, its
+  diagonal alone,
 * :func:`integer_determinant`, a fraction-free (Bareiss) determinant,
 * :func:`n_representable`, membership in the numerical semigroup generated
   by a set of positive integers,
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ResourceCapError, ValidationError
+from .weights import as_int
 
 #: Largest target accepted by the representability routines. The cost of the
 #: semigroup-membership computation is pseudo-polynomial in the target, so
@@ -243,10 +245,19 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         U=IntMatrix.from_rows(u),
         V=IntMatrix.from_rows(v),
         Vinv=IntMatrix.from_rows(vinv),
-        invariant_factors=tuple(
-            a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i] != 0
-        ),
+        invariant_factors=_diagonal(a),
     )
+
+
+def invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """The factors of :func:`smith_normal_form` alone; diagonalizes ``rows`` in place."""
+    _snf_worker(rows, len(rows), len(rows[0]))
+    return _diagonal(rows)
+
+
+def _diagonal(a: list[list[int]]) -> tuple[int, ...]:
+    """The nonzero diagonal entries :func:`_snf_worker` leaves in ``a``."""
+    return tuple(a[i][i] for i in range(min(len(a), len(a[0]))) if a[i][i])
 
 
 def integer_determinant(m: IntMatrix) -> int:
@@ -300,11 +311,11 @@ def representable_mask(limit: int, generators: Iterable[int]) -> int:
     the generators. Implemented by doubling shift-or closure on a big integer,
     which keeps the pseudo-polynomial sweep inside C-level arithmetic.
     """
-    limit = int(limit)
+    limit = as_int(limit, "limit")
     if limit < 0:
         raise ValidationError("limit must be nonnegative")
     _check_target_cap(limit)
-    gens = sorted({int(g) for g in generators})
+    gens = sorted({as_int(g, "generator") for g in generators})
     if not gens:
         raise ValidationError("generator list must be nonempty")
     if gens[0] < 1:
@@ -335,7 +346,7 @@ def _closed(mask: int, g: int, limit: int, full: int) -> int:
 
 def n_representable(target: int, generators: Iterable[int]) -> bool:
     """Is ``target`` a nonnegative integer combination of ``generators``?"""
-    target = int(target)
+    target = as_int(target, "target")
     if target < 0:
         raise ValidationError("target must be nonnegative")
     mask = representable_mask(target, generators)
@@ -348,7 +359,7 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     The order is deterministic: largest first part first, so for 3 the list
     is (3,), (2, 1), (1, 1, 1).
     """
-    n = int(n)
+    n = as_int(n, "n")
     if n < 1:
         raise ValidationError("partitions are defined for n >= 1")
     out: list[tuple[int, ...]] = []

@@ -91,10 +91,17 @@ def enumerate_monomials(
 
 def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector]:
     """The rows, raising ResourceCapError when row ``cap + 1`` is pulled."""
-    for read, row in enumerate(rows):
-        if read >= cap:
-            raise ResourceCapError(f"graded piece has more than {cap} monomials")
-        yield row
+    cap = as_int(cap, "monomial cap")
+    if cap < 0:
+        raise ValidationError(f"monomial cap must be >= 0, got {cap}")
+
+    def capped():
+        for read, row in enumerate(rows):
+            if read >= cap:
+                raise ResourceCapError(f"graded piece has more than {cap} monomials")
+            yield row
+
+    return capped()
 
 
 def _plain_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...] | None:

@@ -10,19 +10,26 @@ which lies in every fixing group because each support row has weighted degree
 d; quotienting by it gives the image of the fixing group among automorphisms
 of the ambient space.
 
-All computations here stay in exact integer arithmetic; quotients are taken
-by rewriting generators in a lattice basis derived from the Smith normal form
-and running a second Smith reduction on the resulting integer matrix.
-
-Every support, and every graded piece, is first compressed to an echelon
-basis of its row lattice L. Every row r has a.r = d, so L lies in the degree
-lattice Lambda = {v : a.v = 0 mod d}, of index d / gcd(d, a_0, ..., a_{m-1}).
+All computations here stay in exact integer arithmetic. Every support, and
+every graded piece, is first compressed to an echelon basis of its row
+lattice L. Every row r has a.r = d, so L lies in the degree lattice
+Lambda = {v : a.v = 0 mod d}, of index d / gcd(d, a_0, ..., a_{m-1}).
 The compression stops as soon as its partial lattice L' has that index: then
 L' <= L <= Lambda with [Z^m : L'] = [Z^m : Lambda] forces L' = L = Lambda,
 and every remaining row would reduce to zero without changing a pivot, so the
 basis is the one the exhaustive pass returns. The rows are therefore read
 lazily, in an order that reaches the exit early: graded pieces as they are
 enumerated, supports with their witness-shaped rows first.
+
+The quotient by the scalars comes from duality. The fixing group of L is its
+annihilator L^perp in (Q/Z)^m, and Lambda^perp = <sigma>: sigma annihilates
+Lambda, and both groups have order [Z^m : Lambda]. So the fixing group modulo
+scalars, L^perp / <sigma>, is Pontryagin dual to Lambda / L and has its
+invariant factors. The map v -> (v, a.v / d) sends Lambda onto the saturated
+lattice {(v, t) : a.v = d t} of Z^(m+1), so Lambda / L is the torsion of
+Z^(m+1) modulo the rows (b, a.b / d) for b in a basis of L: one Smith form of
+an m x (m+1) matrix. In particular the quotient is trivial exactly when L is
+all of Lambda, that is, whenever the rows read span the degree lattice.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import factorial, gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import lin_finiteness
@@ -38,12 +46,7 @@ from .errors import (
     MissingWitnessError,
     ValidationError,
 )
-from .intlinalg import (
-    IntMatrix,
-    SnfDecomposition,
-    integer_determinant,
-    smith_normal_form,
-)
+from .intlinalg import IntMatrix, integer_determinant, invariant_factors
 from .monomials import (
     DEFAULT_MONOMIAL_CAP,
     ExponentVector,
@@ -54,7 +57,7 @@ from .monomials import (
     witness_shaped,
 )
 from .quasismooth import quasismooth_exists
-from .weights import HypersurfaceFamily, WeightSystem
+from .weights import HypersurfaceFamily, WeightSystem, as_int
 
 
 @dataclass(frozen=True)
@@ -167,17 +170,16 @@ def _row_lattice_basis(
 
 def _support_snf(
     rows: Iterable[Sequence[int]], weights: Sequence[int], degree: int
-) -> SnfDecomposition:
-    """Smith form of the exponent matrix, from a basis of its row lattice.
+) -> tuple[int, ...]:
+    """Invariant factors of the exponent matrix, from a basis of its row lattice.
 
     Every row must have weighted degree ``degree``; the compression relies on
     it to stop early (see :func:`_row_lattice_basis`). Invariant factors are
-    lattice invariants, so they are those of the uncompressed matrix.
+    lattice invariants, so they are those of the uncompressed matrix. Only
+    zero rows (degree 0) leave an empty basis, which has no factors.
     """
-    m = len(weights)
-    basis = _row_lattice_basis(rows, m, degree // gcd(degree, *weights))
-    # Only zero rows (degree 0) leave no pivot; the zero row has their lattice.
-    return smith_normal_form(IntMatrix.from_rows(basis or [[0] * m]))
+    basis = _row_lattice_basis(rows, len(weights), degree // gcd(degree, *weights))
+    return invariant_factors(basis) if basis else ()
 
 
 def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
@@ -192,7 +194,7 @@ def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
     """
     weights = p.family.weights.original
     rows = chain(witness_shaped(p.rows, len(weights)), p.rows)
-    factors = _support_snf(rows, weights, p.family.degree).invariant_factors
+    factors = _support_snf(rows, weights, p.family.degree)
     return AbelianGroupStructure.from_factors(
         factors, free_rank=len(weights) - len(factors)
     )
@@ -260,37 +262,6 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
     return DistinguishedMinor(B=B, chosen_rows=tuple(choices), determinant=det)
 
 
-def _quotient_by_scalar(
-    snf: SnfDecomposition, weights: Sequence[int], degree: int
-) -> AbelianGroupStructure:
-    """Fixing group modulo the scalar element (a_0/d, ..., a_{m-1}/d).
-
-    Works in the basis b_i = (column i of V) / d_i of the solution lattice:
-    the standard lattice and the scalar vector are rewritten in that basis,
-    giving an integer matrix whose cokernel is the quotient group.
-    """
-    vinv, factors = snf.Vinv, snf.invariant_factors
-    m = len(weights)
-    if len(factors) != m:
-        raise InvariantViolationError("scalar quotient requires a finite fixing group")
-    u = [sum(vinv.at(i, j) * weights[j] for j in range(m)) for i in range(m)]
-    aug_col = []
-    for i in range(m):
-        num = factors[i] * u[i]
-        if num % degree != 0:
-            raise InvariantViolationError(
-                "scalar vector does not lie in the fixing-group lattice"
-            )
-        aug_col.append(num // degree)
-    rows = []
-    for i in range(m):
-        rows.append([factors[i] * vinv.at(i, j) for j in range(m)] + [aug_col[i]])
-    qfactors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
-    if len(qfactors) != m:
-        raise InvariantViolationError("quotient of a finite group came out infinite")
-    return AbelianGroupStructure.from_factors(qfactors, free_rank=0)
-
-
 def forced_central_group(
     fam: HypersurfaceFamily, *, monomial_cap: int = DEFAULT_MONOMIAL_CAP
 ) -> AbelianGroupStructure:
@@ -321,13 +292,16 @@ def _forced_central_group(
 ) -> AbelianGroupStructure:
     """:func:`forced_central_group` for a family already known to pass the
     quasismooth criterion."""
-    wc = fam.weights.canonicalized()
-    rows = _capped(iter_monomials(wc, fam.degree), monomial_cap)
-    snf = _support_snf(rows, wc.original, fam.degree)
-    free_rank = len(wc.original) - len(snf.invariant_factors)
+    weights, d = fam.weights.canonical, fam.degree
+    rows = _capped(iter_monomials(fam.weights.canonicalized(), d), monomial_cap)
+    basis = _row_lattice_basis(rows, len(weights), d // gcd(d, *weights))
+    free_rank = len(weights) - len(basis)
     if free_rank:
         return AbelianGroupStructure((), None, False, free_rank)
-    return _quotient_by_scalar(snf, wc.original, fam.degree)
+    # The group is dual to Lambda / L; see the module docstring.
+    for b in basis:
+        b.append(sum(map(mul, b, weights)) // d)
+    return AbelianGroupStructure.from_factors(invariant_factors(basis), free_rank=0)
 
 
 class FermatPrediction(NamedTuple):
@@ -342,7 +316,7 @@ def fermat_prediction(n: int, d: int) -> FermatPrediction:
     d^(n+1) and coordinate permutations the rest. This is the classical
     characteristic-zero count for x_0^d + ... + x_{n+1}^d = 0.
     """
-    n, d = int(n), int(d)
+    n, d = as_int(n, "dimension"), as_int(d, "degree")
     if n < 1:
         raise ValidationError("Fermat prediction needs dimension n >= 1")
     if d < 3:
@@ -353,7 +327,7 @@ def fermat_prediction(n: int, d: int) -> FermatPrediction:
 
 def fermat_support(n: int, d: int) -> PolynomialSupport:
     """Support of x_0^d + ... + x_{n+1}^d in ordinary projective space."""
-    n, d = int(n), int(d)
+    n, d = as_int(n, "dimension"), as_int(d, "degree")
     if n < 1 or d < 1:
         raise ValidationError("Fermat support needs n >= 1 and d >= 1")
     m = n + 2

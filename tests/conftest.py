@@ -4,8 +4,9 @@ Each oracle here deliberately uses a different algorithm than the library
 code it checks: recursive cofactor determinants against Bareiss elimination,
 recursive enumeration against an odometer, power-series convolution against
 enumeration, list-based dynamic programming against bitmask closure,
-root-of-unity counting against Smith normal forms, and a divisor-table census
-against the arithmetic lead loop.
+root-of-unity counting against Smith normal forms, a divisor-table census
+against the arithmetic lead loop, and a rewrite of the scalar vector in the
+Smith basis of the whole graded piece against the dual quotient Lambda / L.
 """
 
 from __future__ import annotations
@@ -15,18 +16,24 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from typing import Sequence
 
 from hypothesis import HealthCheck, settings
 
 from wph import (
+    AbelianGroupStructure,
     HypersurfaceFamily,
+    IntMatrix,
+    InvariantViolationError,
     PolynomialSupport,
+    SnfDecomposition,
     WeightedPolynomial,
     WeightSystem,
     enumerate_monomials,
     is_linear_cone,
     is_well_formed,
     quasismooth_exists,
+    smith_normal_form,
 )
 from wph.weights import omit_one_gcds
 
@@ -145,6 +152,37 @@ def count_fixing_tuples(rows, modulus: int) -> int:
             ok &= (base + row[0] * k0) % e == 0
         total += int(ok.sum())
     return total
+
+
+def _quotient_by_scalar(
+    snf: SnfDecomposition, weights: Sequence[int], degree: int
+) -> AbelianGroupStructure:
+    """Fixing group modulo the scalar element (a_0/d, ..., a_{m-1}/d).
+
+    Works in the basis b_i = (column i of V) / d_i of the solution lattice:
+    the standard lattice and the scalar vector are rewritten in that basis,
+    giving an integer matrix whose cokernel is the quotient group.
+    """
+    vinv, factors = snf.Vinv, snf.invariant_factors
+    m = len(weights)
+    if len(factors) != m:
+        raise InvariantViolationError("scalar quotient requires a finite fixing group")
+    u = [sum(vinv.at(i, j) * weights[j] for j in range(m)) for i in range(m)]
+    aug_col = []
+    for i in range(m):
+        num = factors[i] * u[i]
+        if num % degree != 0:
+            raise InvariantViolationError(
+                "scalar vector does not lie in the fixing-group lattice"
+            )
+        aug_col.append(num // degree)
+    rows = []
+    for i in range(m):
+        rows.append([factors[i] * vinv.at(i, j) for j in range(m)] + [aug_col[i]])
+    qfactors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
+    if len(qfactors) != m:
+        raise InvariantViolationError("quotient of a finite group came out infinite")
+    return AbelianGroupStructure.from_factors(qfactors, free_rank=0)
 
 
 def naive_quasismooth_failures(weights, degree: int) -> list[tuple]:

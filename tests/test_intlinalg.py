@@ -7,15 +7,20 @@ from hypothesis import given, strategies as st
 from wph import (
     DimensionError,
     IntMatrix,
+    JordanTable,
     ResourceCapError,
     ValidationError,
+    fermat_prediction,
+    fermat_support,
     integer_determinant,
     loop_matrix,
     n_representable,
     partitions_of,
     representable_mask,
     smith_normal_form,
+    worst_case_constant,
 )
+from wph.intlinalg import invariant_factors
 
 from conftest import cofactor_determinant, coin_representable, series_dimensions
 
@@ -107,6 +112,10 @@ class TestSmithNormalForm:
                 elif i >= len(factors):
                     assert dec.D.at(i, j) == 0
 
+    @given(matrices)
+    def test_factors_alone_match_the_decomposition(self, m):
+        assert invariant_factors(m.to_rows()) == smith_normal_form(m).invariant_factors
+
     @given(matrices.filter(lambda m: m.is_square))
     def test_factor_product_is_abs_det(self, m):
         det = cofactor_determinant(m.to_rows())
@@ -197,6 +206,26 @@ class TestRepresentability:
 
     def test_duplicate_generators_collapse(self):
         assert representable_mask(20, [3, 3, 5]) == representable_mask(20, [3, 5])
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (n_representable, (7.9, [2, 3])),
+        (n_representable, ("7", [2, 3])),
+        (n_representable, (True, [2, 3])),
+        (representable_mask, (7, [2.5])),
+        (representable_mask, (7.0, [2])),
+        (partitions_of, ("4",)),
+        (fermat_prediction, (2.9, 4.2)),
+        (fermat_support, (2, 4.0)),
+        (worst_case_constant, (True, JordanTable.default())),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
+)
+def test_primitives_reject_non_integers(call, args):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(*args)
 
 
 class TestPartitions:

@@ -51,6 +51,11 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError):
             enumerate_monomials(WeightSystem([1, 1, 1]), 30, cap=10)
 
+    @pytest.mark.parametrize("cap", ["5", 2.5, True, -1])
+    def test_rejects_bad_cap(self, cap):
+        with pytest.raises(ValidationError, match="monomial cap"):
+            enumerate_monomials(WeightSystem([1, 1, 1]), 3, cap=cap)
+
     def test_generator_matches_recursive_oracle(self):
         rng = random.Random(7070)
         zero_degree = empty = 0

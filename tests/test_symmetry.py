@@ -8,13 +8,17 @@ from wph import (
     HypersurfaceFamily,
     IntMatrix,
     InvariantViolationError,
+    JordanTable,
+    MissingJordanEntryError,
     MissingWitnessError,
     PolynomialSupport,
     ResourceCapError,
+    SearchConstraints,
     monomial_existence_check,
     ValidationError,
     WeightSystem,
     distinguished_minor,
+    enumerate_families,
     enumerate_monomials,
     fermat_prediction,
     fermat_support,
@@ -23,17 +27,17 @@ from wph import (
     is_witness_row,
     lin_diagonal_order,
     lin_finiteness,
+    lin_order_bound,
     smith_normal_form,
 )
 from wph.monomials import witness_rows
 from wph.symmetry import (
     MinorChoice,
-    _quotient_by_scalar,
     _row_lattice_basis,
     _support_snf,
 )
 
-from conftest import count_fixing_tuples, random_finite_support
+from conftest import _quotient_by_scalar, count_fixing_tuples, random_finite_support
 
 
 def klein_support():
@@ -115,10 +119,8 @@ class TestFixingGroup:
         assert group.finite and group.order == prod
 
     def test_zero_row_at_degree_zero(self):
-        # The compression leaves no pivot; the Smith form is the zero row's.
-        snf = _support_snf([(0, 0, 0)], (1, 2, 3), 0)
-        assert snf.invariant_factors == ()
-        assert snf.Vinv == IntMatrix.identity(3)
+        # The compression leaves no pivot, and an empty basis has no factors.
+        assert _support_snf([(0, 0, 0)], (1, 2, 3), 0) == ()
 
 
 def _lattice_oracle_check(support):
@@ -472,6 +474,8 @@ class TestForcedCentralGroup:
     def test_unsorted_input_weights(self):
         group = forced_central_group(HypersurfaceFamily.of([25, 30, 31, 36], 180))
         assert group.order == 5
+        group = forced_central_group(HypersurfaceFamily.of([4, 9, 6, 7], 18))
+        assert group.invariant_factors == (2,)
 
     def test_cap_counts_rows_read(self):
         # 53 130 monomials, of which the first 6 span the degree lattice.
@@ -486,6 +490,11 @@ class TestForcedCentralGroup:
         with pytest.raises(ResourceCapError, match="more than 3 monomials"):
             forced_central_group(fam, monomial_cap=3)
         assert forced_central_group(fam, monomial_cap=4).order == 5
+
+    @pytest.mark.parametrize("cap", ["5", 2.5, True, -1])
+    def test_rejects_bad_monomial_cap(self, cap):
+        with pytest.raises(ValidationError, match="monomial cap"):
+            forced_central_group(HypersurfaceFamily.of([36, 31, 30, 25], 180), monomial_cap=cap)
 
     def test_matches_brute_force_quotient_on_random_families(self):
         rng = random.Random(9009)
@@ -528,6 +537,38 @@ class TestForcedCentralGroup:
                 brute += 1
             checked += 1
         assert infinite and large and brute >= 20, (infinite, large, brute)
+
+    def test_at_most_the_order_bound_floor_across_a_census(self):
+        # The forced group injects into Lin(X) of every member, so its order
+        # is at most the floor of the order bound wherever that is defined.
+        fams = enumerate_families(
+            SearchConstraints(dimension=2, max_weight=14, max_degree=60)
+        )
+        assert len(fams) == 5616
+        table = JordanTable.default()
+        bounded = 0
+        nontrivial = {}
+        for fam in fams:
+            if not lin_finiteness(fam).finite:
+                continue
+            try:
+                floor = lin_order_bound(fam, table).floor
+            except MissingJordanEntryError:
+                continue
+            bounded += 1
+            group = forced_central_group(fam)
+            assert group.order <= floor, (fam, group, floor)
+            if group.order > 1:
+                nontrivial[fam.weights.canonical, fam.degree] = group
+        assert bounded == 4395
+        assert sorted(nontrivial) == [
+            ((9, 7, 6, 4), 18), ((10, 9, 7, 6), 27), ((13, 10, 9, 6), 36),
+        ]
+        for (ws, d), group in nontrivial.items():
+            rows = enumerate_monomials(WeightSystem(ws), d)
+            snf = smith_normal_form(IntMatrix.from_rows(rows))
+            assert group == _quotient_by_scalar(snf, ws, d), (ws, d)
+            assert group.invariant_factors == (2,) and group.order == 2
 
     def test_matches_whole_piece_fixing_group_on_large_pieces(self):
         # Pieces of 150-5500 rows, where the streamed forced group stops
