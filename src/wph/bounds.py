@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .intlinalg import partitions_of
-from .weights import HypersurfaceFamily, WeightSystem, as_int
+from .weights import HypersurfaceFamily, WeightSystem, _plain_int, as_int
 
 #: Effective constant for curves from the classification of large automorphism
 #: groups of plane curves: 6 * d^2 / (abc) holds with exactly two exceptional
@@ -102,7 +102,7 @@ class JordanTable:
             2: JordanEntry(Fraction(12), "pinned: finite subgroups of GL_2"),
         }
         for n, entry in (entries or {}).items():
-            n = int(n)
+            n = as_int(n, "Jordan table key")
             if n < 1:
                 raise ValidationError(f"Jordan table key must be >= 1, got {n}")
             value = Fraction(entry.value)
@@ -125,7 +125,7 @@ class JordanTable:
         return cls()
 
     def entry(self, n: int) -> JordanEntry:
-        n = int(n)
+        n = as_int(n, "Jordan table key")
         got = self._entries.get(n)
         if got is not None:
             return got
@@ -142,7 +142,7 @@ class JordanTable:
         self, new_entries: Mapping[int, JordanEntry]
     ) -> "JordanTable":
         merged = dict(self._entries)
-        merged.update({int(k): v for k, v in new_entries.items()})
+        merged.update({as_int(k, "Jordan table key"): v for k, v in new_entries.items()})
         return JordanTable(merged)
 
     def __eq__(self, other) -> bool:
@@ -170,7 +170,7 @@ class JordanTable:
                     f"Jordan table line {lineno}: expected 'N value provenance'"
                 )
             try:
-                n = int(parts[0])
+                n = _table_int(parts[0])
                 value = _parse_value(parts[1])
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"Jordan table line {lineno}: {exc}") from exc
@@ -194,11 +194,18 @@ def _format_value(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _table_int(token: str) -> int:
+    value = _plain_int(token)
+    if value is None:
+        raise ValueError(f"{token!r} is not an integer")
+    return value
+
+
 def _parse_value(token: str) -> Fraction:
     if "/" in token:
         num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(_table_int(num), _table_int(den))
+    return Fraction(_table_int(token))
 
 
 def chermak_delgado_bounds(weak_constant: Fraction) -> tuple[Fraction, Fraction]:

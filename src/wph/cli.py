@@ -6,7 +6,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -49,6 +48,7 @@ from .weights import (
     HypersurfaceFamily,
     LinearityVerdict,
     WeightSystem,
+    _plain_int,
     aut_equals_lin,
     canonical_class,
     genericity_condition,
@@ -79,23 +79,6 @@ _LINEARITY_TAGS = {
     ),
     LinearityVerdict.OUT_OF_RANGE: "criterion does not apply for n <= 1",
 }
-
-
-_PLAIN_INT = re.compile(r"[+-]?[0-9]+")
-
-
-def _plain_int(text: str) -> int | None:
-    """The value of an optionally signed run of ASCII digits, else None.
-
-    ``int`` alone would also take underscores, surrounding blanks and
-    non-ASCII digits.
-    """
-    if not _PLAIN_INT.fullmatch(text):
-        return None
-    try:
-        return int(text)
-    except ValueError:  # more digits than the interpreter converts
-        return None
 
 
 def _parse_weights(text: str) -> WeightSystem:

@@ -11,6 +11,12 @@ routines is exact. The main entry points are
 * :func:`n_representable`, membership in the numerical semigroup generated
   by a set of positive integers,
 * :func:`partitions_of`, unordered integer partitions in a fixed order.
+
+Both Smith forms run one elimination that records nothing itself. The
+transforms come from bordering the matrix with identities, which the
+elimination updates along with it (Kannan and Bachem, 1979; Cohen, *A Course
+in Computational Algebraic Number Theory*, section 2.4). So the factors alone
+need no memory beyond the matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", as_int(self.rows, "matrix rows"))
+        object.__setattr__(self, "cols", as_int(self.cols, "matrix cols"))
+        object.__setattr__(
+            self, "entries", tuple(as_int(x, "matrix entry") for x in self.entries)
+        )
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("matrix needs at least one row and one column")
         if len(self.entries) != self.rows * self.cols:
@@ -45,28 +56,13 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = [tuple(int(x) for x in row) for row in rows]
+        data = [tuple(row) for row in rows]
         if not data:
             raise ValidationError("matrix needs at least one row")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValidationError("ragged rows")
         return cls(len(data), width, tuple(x for row in data for x in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int], rows: int | None = None,
-                 cols: int | None = None) -> "IntMatrix":
-        values = [int(v) for v in values]
-        r = rows if rows is not None else len(values)
-        c = cols if cols is not None else len(values)
-        ent = [0] * (r * c)
-        for i, v in enumerate(values):
-            ent[i * c + i] = v
-        return cls(r, c, tuple(ent))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -76,13 +72,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -120,54 +109,41 @@ class SnfDecomposition:
     invariant_factors: tuple[int, ...]
 
 
-def _snf_worker(a: list[list[int]], nrows: int, ncols: int):
-    """Diagonalize ``a`` in place; return (U, V, Vinv) as lists of rows.
+def _snf_worker(a: list[list[int]], nrows: int, ncols: int) -> None:
+    """Diagonalize the leading ``nrows`` x ``ncols`` block of ``a`` in place.
+
+    Row operations act on whole rows among the first ``nrows``, and column
+    operations on whole columns among the first ``ncols``; the pivot search,
+    the residue search and the divisibility check read only the block. So
+    whatever a caller appends to the block records the transforms
+    (bordering): entries to the right of the first ``nrows`` rows undergo
+    exactly the row operations, and rows below the block, ``ncols`` entries
+    long, exactly the column operations. With nothing appended the worker
+    needs no memory beyond ``a``.
 
     Pivots are always the smallest-absolute-value nonzero entry of the
     remaining block, ties broken by lowest (row, col). That makes the output
     deterministic and keeps intermediate entries small.
     """
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
         if i != j:
             for r in a:
                 r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(dst, src, k):
         # row dst += k * row src
         if k:
-            rd, rs = a[dst], a[src]
-            for idx in range(ncols):
-                rd[idx] += k * rs[idx]
-            rd, rs = u[dst], u[src]
-            for idx in range(nrows):
-                rd[idx] += k * rs[idx]
+            a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
 
     def add_col(dst, src, k):
-        # col dst += k * col src; the inverse transform acts on rows of vinv
+        # col dst += k * col src
         if k:
             for r in a:
                 r[dst] += k * r[src]
-            for r in v:
-                r[dst] += k * r[src]
-            rs, rd = vinv[src], vinv[dst]
-            for idx in range(ncols):
-                rs[idx] -= k * rd[idx]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
         best = None
@@ -182,8 +158,7 @@ def _snf_worker(a: list[list[int]], nrows: int, ncols: int):
                         best, best_abs = (i, j), ax
         return best
 
-    limit = min(nrows, ncols)
-    for t in range(limit):
+    for t in range(min(nrows, ncols)):
         piv = find_pivot(t)
         if piv is None:
             break
@@ -191,7 +166,7 @@ def _snf_worker(a: list[list[int]], nrows: int, ncols: int):
         swap_cols(t, piv[1])
         while True:
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
             for i in range(t + 1, nrows):
                 if a[i][t]:
@@ -206,29 +181,32 @@ def _snf_worker(a: list[list[int]], nrows: int, ncols: int):
             for i in range(t + 1, nrows):
                 x = a[i][t]
                 if x and (res_abs is None or abs(x) < res_abs):
-                    res, res_abs = ("r", i), abs(x)
+                    res, res_abs = (swap_rows, i), abs(x)
             for j in range(t + 1, ncols):
                 x = a[t][j]
                 if x and (res_abs is None or abs(x) < res_abs):
-                    res, res_abs = ("c", j), abs(x)
+                    res, res_abs = (swap_cols, j), abs(x)
             if res is not None:
-                if res[0] == "r":
-                    swap_rows(t, res[1])
-                else:
-                    swap_cols(t, res[1])
+                swap, k = res
+                swap(t, k)
                 continue
             # Row/column clear. Enforce that the pivot divides the rest of
             # the block before moving on; this is what yields the chain.
-            p = a[t][t]
-            bad = None
-            for i in range(t + 1, nrows):
-                if any(x % p for x in a[i][t + 1 :]):
-                    bad = i
-                    break
+            bad = next(
+                (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1 : ncols])),
+                None,
+            )
             if bad is None:
                 break
             add_row(t, bad, 1)
-    return u, v, vinv
+
+
+def _bordered(rows: list[list[int]]) -> list[list[int]]:
+    """``rows`` (r x c) with I_r appended to the right and I_c appended below."""
+    r, c = len(rows), len(rows[0])
+    return [row + [int(i == j) for j in range(r)] for i, row in enumerate(rows)] + [
+        [int(i == j) for j in range(c)] for i in range(c)
+    ]
 
 
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
@@ -237,15 +215,24 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     Deterministic for a given input. The diagonal of the returned ``D`` is
     nonnegative with the nonzero entries forming a divisibility chain,
     ``U @ m @ V == D`` holds exactly, and ``V @ Vinv`` is the identity.
+
+    One pass over ``m`` bordered by identities yields D, U and V. V is
+    unimodular, so the same pass over bordered V gives U' V V' = I, and
+    Vinv = V' U'.
     """
-    a = m.to_rows()
-    u, v, vinv = _snf_worker(a, m.rows, m.cols)
+    r, c = m.rows, m.cols
+    a = _bordered(m.to_rows())
+    _snf_worker(a, r, c)
+    d = [row[:c] for row in a[:r]]
+    v = a[r:]
+    b = _bordered(v)
+    _snf_worker(b, c, c)
     return SnfDecomposition(
-        D=IntMatrix.from_rows(a),
-        U=IntMatrix.from_rows(u),
+        D=IntMatrix.from_rows(d),
+        U=IntMatrix.from_rows([row[c:] for row in a[:r]]),
         V=IntMatrix.from_rows(v),
-        Vinv=IntMatrix.from_rows(vinv),
-        invariant_factors=_diagonal(a),
+        Vinv=IntMatrix.from_rows(b[c:]) @ IntMatrix.from_rows([row[c:] for row in b[:c]]),
+        invariant_factors=_diagonal(d),
     )
 
 
@@ -293,7 +280,8 @@ def loop_matrix(diagonal: Sequence[int]) -> IntMatrix:
     single row the wrapped 1 lands on the diagonal itself. The determinant is
     ``prod(diagonal) + (-1)**(m+1)``.
     """
-    bs = [int(b) for b in diagonal]
+    # Checked here, not only by IntMatrix: one row adds 1 to its entry first.
+    bs = [as_int(b, "matrix entry") for b in diagonal]
     if not bs:
         raise ValidationError("loop matrix needs at least one diagonal entry")
     m = len(bs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -19,6 +20,23 @@ def as_int(value, what: str) -> int:
         return index(value)
     except TypeError as exc:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+
+
+_PLAIN_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _plain_int(text: str) -> int | None:
+    """The value of an optionally signed run of ASCII digits, else None.
+
+    ``int`` alone would also take underscores, surrounding blanks and
+    non-ASCII digits.
+    """
+    if not _PLAIN_INT.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        return None
 
 
 class WeightSystem:

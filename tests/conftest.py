@@ -7,6 +7,9 @@ enumeration, list-based dynamic programming against bitmask closure,
 root-of-unity counting against Smith normal forms, a divisor-table census
 against the arithmetic lead loop, and a rewrite of the scalar vector in the
 Smith basis of the whole graded piece against the dual quotient Lambda / L.
+That Smith basis comes from the library's elimination with the piece
+bordered below by an identity, which records the column transform V and no
+row transform, so whole pieces of thousands of rows stay cheap.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from wph import (
     IntMatrix,
     InvariantViolationError,
     PolynomialSupport,
-    SnfDecomposition,
     WeightedPolynomial,
     WeightSystem,
     enumerate_monomials,
@@ -35,6 +37,7 @@ from wph import (
     quasismooth_exists,
     smith_normal_form,
 )
+from wph.intlinalg import _diagonal, _snf_worker
 from wph.weights import omit_one_gcds
 
 settings.register_profile(
@@ -154,16 +157,29 @@ def count_fixing_tuples(rows, modulus: int) -> int:
     return total
 
 
+def factors_and_vinv(rows) -> tuple[tuple[int, ...], IntMatrix]:
+    """Invariant factors and V^-1 of the Smith form U * rows * V = D.
+
+    The rows are bordered below by I_c only, so the elimination records V in
+    those extra rows and keeps no rows x rows transform U.
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    a = [list(r) for r in rows] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    _snf_worker(a, nrows, ncols)
+    inverse = smith_normal_form(IntMatrix.from_rows(a[nrows:]))
+    return _diagonal(a[:nrows]), inverse.V @ inverse.U
+
+
 def _quotient_by_scalar(
-    snf: SnfDecomposition, weights: Sequence[int], degree: int
+    factors: Sequence[int], vinv: IntMatrix, weights: Sequence[int], degree: int
 ) -> AbelianGroupStructure:
     """Fixing group modulo the scalar element (a_0/d, ..., a_{m-1}/d).
 
     Works in the basis b_i = (column i of V) / d_i of the solution lattice:
     the standard lattice and the scalar vector are rewritten in that basis,
-    giving an integer matrix whose cokernel is the quotient group.
+    giving an integer matrix whose cokernel is the quotient group. ``factors``
+    and ``vinv`` are those of :func:`factors_and_vinv` on the support rows.
     """
-    vinv, factors = snf.Vinv, snf.invariant_factors
     m = len(weights)
     if len(factors) != m:
         raise InvariantViolationError("scalar quotient requires a finite fixing group")

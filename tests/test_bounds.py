@@ -100,6 +100,31 @@ class TestJordanTable:
         with pytest.raises(ValidationError, match="line 2"):
             JordanTable.parse("3 360 ok\n4 twelve bad\n")
 
+    @pytest.mark.parametrize(
+        "line, token",
+        [
+            ("1_0 7 a", "1_0"),
+            ("\u0663 7 a", "\u0663"),
+            ("3 1_2/5 a", "1_2"),
+            ("3 12/\uff15 a", "\uff15"),
+            ("3.0 12 a", "3.0"),
+            ("3 7.5 a", "7.5"),
+        ],
+    )
+    def test_parse_takes_plain_integers_only(self, line, token):
+        with pytest.raises(ValidationError, match=f"line 2: {token!r} is not an integer"):
+            JordanTable.parse(f"4 25920 ok\n{line}\n")
+
+    @pytest.mark.parametrize("key", [2.7, True, "3", Fraction(3)])
+    def test_keys_and_lookups_are_integers(self, key):
+        entry = JordanEntry(Fraction(360), "test fixture")
+        with pytest.raises(ValidationError, match="must be an integer"):
+            JordanTable({key: entry})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            JordanTable.default().with_entries({key: entry})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            JordanTable.default().entry(key)
+
     def test_chermak_delgado_window(self):
         lo, hi = chermak_delgado_bounds(Fraction(12))
         assert (lo, hi) == (12, 144)

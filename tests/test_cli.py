@@ -366,6 +366,16 @@ class TestJordanTableFlag:
         assert payload["order_bound"]["exact"] == "9000"
 
 
+    def test_table_tokens_follow_the_integer_flag_rule(self, capsys, tmp_path):
+        path = tmp_path / "jordan.txt"
+        path.write_text("3 360 ok\n1_0 7 underscored key\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "bound", "--weights", "1,1,1", "--degree", "5", "--jordan-table", str(path)
+        )
+        assert code == 2 and out == ""
+        assert "Jordan table line 2: '1_0' is not an integer" in err
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2

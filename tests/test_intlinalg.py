@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -10,6 +12,8 @@ from wph import (
     JordanTable,
     ResourceCapError,
     ValidationError,
+    WeightSystem,
+    enumerate_monomials,
     fermat_prediction,
     fermat_support,
     integer_determinant,
@@ -61,23 +65,23 @@ class TestIntMatrix:
         with pytest.raises(ValidationError):
             IntMatrix.from_rows([[1, 2], [3]])
 
-    def test_matmul_and_transpose(self):
+    def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert (a @ b).to_rows() == [[2, 1], [4, 3]]
-        assert a.transpose().to_rows() == [[1, 3], [2, 4]]
         with pytest.raises(DimensionError):
             a @ IntMatrix.from_rows([[1, 2, 3]])
 
 
 class TestSmithNormalForm:
     def test_identity(self):
-        dec = smith_normal_form(IntMatrix.identity(3))
+        identity = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        dec = smith_normal_form(identity)
         assert dec.invariant_factors == (1, 1, 1)
-        assert dec.D == IntMatrix.identity(3)
+        assert dec.D == dec.U == dec.V == dec.Vinv == identity
 
     def test_diag_4_6(self):
-        m = IntMatrix.diagonal([4, 6])
+        m = IntMatrix.from_rows([[4, 0], [0, 6]])
         dec = smith_normal_form(m)
         # Oracle: first factor is the gcd of all entries, product of the
         # factors is |det|.
@@ -97,7 +101,9 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, m):
         dec = smith_normal_form(m)
         assert dec.U @ m @ dec.V == dec.D
-        assert dec.V @ dec.Vinv == IntMatrix.identity(m.cols)
+        assert (dec.V @ dec.Vinv).to_rows() == [
+            [int(i == j) for j in range(m.cols)] for i in range(m.cols)
+        ]
         assert abs(cofactor_determinant(dec.U.to_rows())) == 1
         assert abs(cofactor_determinant(dec.V.to_rows())) == 1
         factors = dec.invariant_factors
@@ -131,10 +137,25 @@ class TestSmithNormalForm:
     def test_deterministic(self, m):
         assert smith_normal_form(m) == smith_normal_form(m)
 
+    def test_factors_alone_stay_in_the_memory_of_the_matrix(self):
+        # The whole degree-10 piece of P(1^5): 1 001 rows spanning the
+        # degree lattice {v : sum(v) = 0 mod 10}. Recording a 1001 x 1001 row
+        # transform would take several MB; the rows themselves take 0.1 MB.
+        rows = [list(r) for r in enumerate_monomials(WeightSystem([1] * 5), 10)]
+        assert len(rows) == 1001
+        tracemalloc.start()
+        try:
+            factors = invariant_factors(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factors == (1, 1, 1, 1, 10)
+        assert peak < 1_000_000, peak
+
 
 class TestDeterminant:
     def test_examples(self):
-        assert integer_determinant(IntMatrix.diagonal([3, 3, 3])) == 27
+        assert integer_determinant(IntMatrix.from_rows([[3, 0, 0], [0, 3, 0], [0, 0, 3]])) == 27
         assert integer_determinant(IntMatrix.from_rows([[3, 1], [1, 3]])) == 8
         assert (
             integer_determinant(IntMatrix.from_rows([[1, 3, 0], [0, 1, 3], [3, 0, 1]]))
@@ -226,6 +247,28 @@ class TestRepresentability:
 def test_primitives_reject_non_integers(call, args):
     with pytest.raises(ValidationError, match="must be an integer"):
         call(*args)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix(2, 2, (2.5, 1, 0, 1)),
+        lambda: IntMatrix(1, 1, (Fraction(4, 2),)),
+        lambda: IntMatrix.from_rows([[2, True]]),
+        lambda: IntMatrix.from_rows([[1, "2"]]),
+        lambda: loop_matrix([2.9, "3"]),
+        lambda: loop_matrix(["3"]),
+        lambda: IntMatrix(2.0, 1, (1, 2)),
+        lambda: IntMatrix(1, "2", (1, 2)),
+    ],
+    ids=[
+        "float", "fraction", "from_rows bool", "from_rows str", "loop float", "loop one str",
+        "float rows", "str cols",
+    ],
+)
+def test_matrices_reject_non_integers(build):
+    with pytest.raises(ValidationError, match="matrix (entry|rows|cols) must be an integer"):
+        build()
 
 
 class TestPartitions:

@@ -37,7 +37,12 @@ from wph.symmetry import (
     _support_snf,
 )
 
-from conftest import _quotient_by_scalar, count_fixing_tuples, random_finite_support
+from conftest import (
+    _quotient_by_scalar,
+    count_fixing_tuples,
+    factors_and_vinv,
+    random_finite_support,
+)
 
 
 def klein_support():
@@ -320,7 +325,7 @@ class TestDistinguishedMinor:
             [0, 0, 0, 3],
         ]
         minor = distinguished_minor(PolynomialSupport(fam, rows))
-        assert minor.B == IntMatrix.diagonal([3, 3, 3, 3])
+        assert minor.B == IntMatrix.from_rows(rows)
         assert minor.determinant == 81
         # bound met with equality: 3^4 / 1
         assert minor.determinant == fam.degree ** 4 // fam.weight_product
@@ -512,25 +517,14 @@ class TestForcedCentralGroup:
                 continue
             rows = enumerate_monomials(fam.weights, d)
             forced = forced_central_group(fam)
-            # The uncompressed Smith form records a len(rows)^2 transform, so
-            # large pieces are checked against the fixing group of the whole
-            # piece, which compresses.
-            if len(rows) > 150:
-                full = fixing_group(PolynomialSupport(fam, rows))
-                if full.finite:
-                    assert forced.finite
-                    assert forced.order * d == full.order, (ws, d)
-                else:
-                    assert not forced.finite, (ws, d)
-                large += 1
-                continue
-            snf = smith_normal_form(IntMatrix.from_rows(rows))
-            if len(snf.invariant_factors) < length:
-                assert forced.free_rank == length - len(snf.invariant_factors)
+            large += len(rows) > 150
+            factors, vinv = factors_and_vinv(rows)
+            if len(factors) < length:
+                assert forced.free_rank == length - len(factors)
                 infinite += 1
                 continue
-            assert forced == _quotient_by_scalar(snf, ws, d), (ws, d)
-            assert prod(snf.invariant_factors) == d * forced.order, (ws, d)
+            assert forced == _quotient_by_scalar(factors, vinv, ws, d), (ws, d)
+            assert prod(factors) == d * forced.order, (ws, d)
             order = d * forced.order
             if order ** length <= 2_000_000:
                 assert count_fixing_tuples(rows, order) == order, (ws, d)
@@ -538,19 +532,36 @@ class TestForcedCentralGroup:
             checked += 1
         assert infinite and large and brute >= 20, (infinite, large, brute)
 
-    def test_at_most_the_order_bound_floor_across_a_census(self):
+    @pytest.mark.parametrize(
+        "constraints, counts, expected",
+        [
+            pytest.param(
+                SearchConstraints(dimension=2, max_weight=14, max_degree=60),
+                (5616, 4684, 4395),
+                [((9, 7, 6, 4), 18), ((10, 9, 7, 6), 27), ((13, 10, 9, 6), 36)],
+                id="dim2",
+            ),
+            pytest.param(
+                SearchConstraints(dimension=3, max_weight=10, max_degree=40),
+                (5287, 4471, 3447),
+                [((9, 7, 6, 6, 4), 18), ((10, 9, 9, 7, 6), 27)],
+                id="dim3",
+            ),
+        ],
+    )
+    def test_at_most_the_order_bound_floor_across_a_census(
+        self, constraints, counts, expected
+    ):
         # The forced group injects into Lin(X) of every member, so its order
         # is at most the floor of the order bound wherever that is defined.
-        fams = enumerate_families(
-            SearchConstraints(dimension=2, max_weight=14, max_degree=60)
-        )
-        assert len(fams) == 5616
+        fams = enumerate_families(constraints)
         table = JordanTable.default()
-        bounded = 0
+        finite = bounded = 0
         nontrivial = {}
         for fam in fams:
             if not lin_finiteness(fam).finite:
                 continue
+            finite += 1
             try:
                 floor = lin_order_bound(fam, table).floor
             except MissingJordanEntryError:
@@ -560,14 +571,11 @@ class TestForcedCentralGroup:
             assert group.order <= floor, (fam, group, floor)
             if group.order > 1:
                 nontrivial[fam.weights.canonical, fam.degree] = group
-        assert bounded == 4395
-        assert sorted(nontrivial) == [
-            ((9, 7, 6, 4), 18), ((10, 9, 7, 6), 27), ((13, 10, 9, 6), 36),
-        ]
+        assert (len(fams), finite, bounded) == counts
+        assert sorted(nontrivial) == expected
         for (ws, d), group in nontrivial.items():
-            rows = enumerate_monomials(WeightSystem(ws), d)
-            snf = smith_normal_form(IntMatrix.from_rows(rows))
-            assert group == _quotient_by_scalar(snf, ws, d), (ws, d)
+            factors, vinv = factors_and_vinv(enumerate_monomials(WeightSystem(ws), d))
+            assert group == _quotient_by_scalar(factors, vinv, ws, d), (ws, d)
             assert group.invariant_factors == (2,) and group.order == 2
 
     def test_matches_whole_piece_fixing_group_on_large_pieces(self):
