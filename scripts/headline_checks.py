@@ -22,7 +22,7 @@ from wph import (
 
 
 def klein():
-    fam = HypersurfaceFamily.of([1, 1, 1], 4)
+    fam = HypersurfaceFamily([1, 1, 1], 4)
     support = PolynomialSupport(fam, [[1, 3, 0], [0, 1, 3], [3, 0, 1]])
     print("== Klein quartic x*y^3 + y*z^3 + z*x^3 in P(1,1,1), degree 4")
     print(f"fixing group order: {fixing_group(support).order} (expect 28)")
@@ -35,7 +35,7 @@ def klein():
 
 
 def flagship():
-    fam = HypersurfaceFamily.of([36, 31, 30, 25], 180)
+    fam = HypersurfaceFamily([36, 31, 30, 25], 180)
     print("== degree-180 family in P(36,31,30,25)")
     forced = forced_central_group(fam)
     print(f"forced central subgroup order: {forced.order} (expect 5)")

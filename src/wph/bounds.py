@@ -138,13 +138,6 @@ class JordanTable:
     def value(self, n: int) -> Fraction:
         return self.entry(n).value
 
-    def with_entries(
-        self, new_entries: Mapping[int, JordanEntry]
-    ) -> "JordanTable":
-        merged = dict(self._entries)
-        merged.update({as_int(k, "Jordan table key"): v for k, v in new_entries.items()})
-        return JordanTable(merged)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, JordanTable) and self._entries == other._entries
 

@@ -94,7 +94,7 @@ def _parse_weights(text: str) -> WeightSystem:
 
 
 def _load_table(args) -> JordanTable:
-    path = getattr(args, "jordan_table", None) or os.environ.get(JORDAN_TABLE_ENV)
+    path = args.jordan_table or os.environ.get(JORDAN_TABLE_ENV)
     if path:
         return JordanTable.load(path)
     return JordanTable.default()
@@ -611,18 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``wph`` argument parser, built once and shared by every call."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit structured JSON")
-    shared.add_argument(
+    tabled = argparse.ArgumentParser(add_help=False, parents=[shared])
+    tabled.add_argument(
         "--jordan-table",
         metavar="PATH",
         default=None,
         help=f"weak Jordan constant table file (default: ${JORDAN_TABLE_ENV})",
-    )
-    shared.add_argument(
-        "--max-candidates",
-        type=_positive_int,
-        default=DEFAULT_CANDIDATE_CAP,
-        metavar="N",
-        help="resource cap on enumeration candidates",
     )
 
     parser = argparse.ArgumentParser(
@@ -635,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
-        "check", parents=[shared], help="classify a (weights, degree) family"
+        "check", parents=[tabled], help="classify a (weights, degree) family"
     )
     p_check.add_argument("--weights", required=True, help="comma-separated weights")
     p_check.add_argument("--degree", required=True, type=_int_arg)
@@ -660,6 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--no-well-formed", action="store_true")
     p_enum.add_argument("--no-quasismooth", action="store_true")
     p_enum.add_argument("--allow-linear-cones", action="store_true")
+    p_enum.add_argument(
+        "--max-candidates",
+        type=_positive_int,
+        default=DEFAULT_CANDIDATE_CAP,
+        metavar="N",
+        help="resource cap on enumeration candidates",
+    )
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_fermat = sub.add_parser(
@@ -670,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fermat.set_defaults(func=cmd_fermat)
 
     p_bound = sub.add_parser(
-        "bound", parents=[shared], help="order bounds for the linear automorphism group"
+        "bound", parents=[tabled], help="order bounds for the linear automorphism group"
     )
     p_bound.add_argument("--weights", required=True, help="comma-separated weights")
     p_bound.add_argument("--degree", required=True, type=_int_arg)

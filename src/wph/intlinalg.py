@@ -56,7 +56,12 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        data = [tuple(row) for row in rows]
+        try:
+            data = [tuple(row) for row in rows]
+        except TypeError as exc:
+            raise ValidationError(
+                f"matrix rows must be an iterable of integer rows, got {rows!r}"
+            ) from exc
         if not data:
             raise ValidationError("matrix needs at least one row")
         width = len(data[0])

@@ -6,12 +6,12 @@ derivatives and the weighted Euler identity self-test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import methodcaller, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
 from .weights import HypersurfaceFamily, WeightSystem, as_int
@@ -164,23 +164,25 @@ def _checked_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVe
     return tuple(parsed)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PolynomialSupport:
     """The set of exponent vectors of an explicit polynomial in a family.
 
     Rows align with the family's original weight order. Every row must have
     weighted degree exactly the family degree, and rows must be distinct.
+    Supports compare by identity.
     """
 
-    __slots__ = ("family", "rows", "_witnesses")
+    family: HypersurfaceFamily
+    rows: tuple[ExponentVector, ...]
+    _witnesses: list | None = field(init=False, default=None)
 
-    def __init__(self, family: HypersurfaceFamily, rows: Iterable[Iterable[int]]):
-        weights = family.weights.original
-        vecs = _plain_rows(rows, weights, family.degree)
+    def __post_init__(self):
+        weights = self.family.weights.original
+        vecs = _plain_rows(self.rows, weights, self.family.degree)
         if vecs is None:
-            vecs = _checked_rows(rows, weights, family.degree)
-        self.family = family
-        self.rows = vecs
-        self._witnesses = None
+            vecs = _checked_rows(self.rows, weights, self.family.degree)
+        object.__setattr__(self, "rows", vecs)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -262,7 +264,7 @@ def _support_witnesses(p: PolynomialSupport) -> list[list[tuple[ExponentVector, 
     must not modify the lists.
     """
     if p._witnesses is None:
-        p._witnesses = witness_rows(p)
+        object.__setattr__(p, "_witnesses", witness_rows(p))
     return p._witnesses
 
 
@@ -282,30 +284,29 @@ def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class WeightedPolynomial:
     """Weighted-homogeneous polynomial with exact rational coefficients.
 
     Unlike :class:`PolynomialSupport` this stores coefficients and its own
     degree, which lets formal derivatives (degree d - a_i, possibly zero)
     live in the same type. Terms with mismatched degree are a hard error,
-    never silently dropped.
+    never silently dropped. ``terms`` is given as (coefficient, exponents)
+    pairs and stored as a tuple of (Fraction, exponent vector) pairs.
     """
 
-    __slots__ = ("weights", "degree", "terms")
+    weights: WeightSystem
+    degree: int
+    terms: tuple[tuple[Fraction, ExponentVector], ...]
 
-    def __init__(
-        self,
-        weights: WeightSystem,
-        degree: int,
-        terms: Iterable[tuple[Fraction | int | str, Iterable[int]]],
-    ):
-        degree = as_int(degree, "degree")
+    def __post_init__(self):
+        degree = as_int(self.degree, "degree")
         if degree < 0:
             raise ValidationError("polynomial degree must be nonnegative")
-        ws = weights.original
+        ws = self.weights.original
         parsed: list[tuple[Fraction, ExponentVector]] = []
         seen: set[ExponentVector] = set()
-        for idx, (coeff, exps) in enumerate(terms):
+        for idx, (coeff, exps) in enumerate(self.terms):
             c = Fraction(coeff)
             vec = tuple(as_int(e, f"term {idx} exponent") for e in exps)
             if len(vec) != len(ws):
@@ -325,9 +326,8 @@ class WeightedPolynomial:
                 raise ValidationError(f"duplicate exponent vector {vec}")
             seen.add(vec)
             parsed.append((c, vec))
-        self.weights = weights
-        self.degree = degree
-        self.terms = tuple(parsed)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", tuple(parsed))
 
     @classmethod
     def from_support(
@@ -346,9 +346,6 @@ class WeightedPolynomial:
             support.family.degree,
             zip(coefficients, support.rows),
         )
-
-    def as_dict(self) -> dict[ExponentVector, Fraction]:
-        return {vec: c for c, vec in self.terms}
 
     def __repr__(self) -> str:
         return (

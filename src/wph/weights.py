@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
+from math import gcd, prod
 from operator import index
-from typing import Iterable
 
 from .errors import ValidationError
 
@@ -39,27 +38,30 @@ def _plain_int(text: str) -> int | None:
         return None
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class WeightSystem:
     """Positive integer weights of an ambient weighted projective space.
 
     ``original`` keeps the order the weights were given in (exponent vectors
     of explicit polynomials align with it); ``canonical`` is the same multiset
     sorted non-increasingly and is what all family-level classifiers use.
+    Equality and hashing read ``original`` only, so the given order matters.
     """
 
-    __slots__ = ("original", "canonical")
+    original: tuple[int, ...]
+    canonical: tuple[int, ...] = field(init=False, compare=False)
 
-    def __init__(self, weights: Iterable[int]):
+    def __post_init__(self):
         try:
-            ws = tuple(as_int(a, "weight") for a in weights)
+            ws = tuple(as_int(a, "weight") for a in self.original)
         except TypeError as exc:
             raise ValidationError(f"weights must be an iterable of integers: {exc}") from exc
         if len(ws) < 2:
             raise ValidationError("a weight system needs at least two weights")
         if any(a < 1 for a in ws):
             raise ValidationError(f"weights must be positive, got {ws}")
-        self.original = ws
-        self.canonical = tuple(sorted(ws, reverse=True))
+        object.__setattr__(self, "original", ws)
+        object.__setattr__(self, "canonical", tuple(sorted(ws, reverse=True)))
 
     def __len__(self) -> int:
         return len(self.original)
@@ -78,38 +80,30 @@ class WeightSystem:
         """The same weights with the canonical order as the stored order."""
         return WeightSystem(self.canonical)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightSystem) and self.original == other.original
-
-    def __hash__(self) -> int:
-        return hash(("WeightSystem", self.original))
-
     def __repr__(self) -> str:
         return f"WeightSystem({list(self.original)!r})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class HypersurfaceFamily:
     """A weight system together with a degree; the input every criterion takes.
 
-    Degenerate degrees below every weight are allowed: such families simply
-    have an empty graded piece in that degree and fail the existence criteria,
-    they are not construction errors.
+    ``weights`` may be given as any iterable of integers, which is wrapped in
+    a :class:`WeightSystem`. Degenerate degrees below every weight are
+    allowed: such families simply have an empty graded piece in that degree
+    and fail the existence criteria, they are not construction errors.
     """
 
-    __slots__ = ("weights", "degree")
+    weights: WeightSystem
+    degree: int
 
-    def __init__(self, weights: WeightSystem, degree: int):
-        degree = as_int(degree, "degree")
+    def __post_init__(self):
+        degree = as_int(self.degree, "degree")
         if degree < 1:
             raise ValidationError(f"degree must be positive, got {degree}")
-        if not isinstance(weights, WeightSystem):
-            weights = WeightSystem(weights)
-        self.weights = weights
-        self.degree = degree
-
-    @classmethod
-    def of(cls, weights: Iterable[int], degree: int) -> "HypersurfaceFamily":
-        return cls(WeightSystem(weights), degree)
+        if not isinstance(self.weights, WeightSystem):
+            object.__setattr__(self, "weights", WeightSystem(self.weights))
+        object.__setattr__(self, "degree", degree)
 
     @property
     def n(self) -> int:
@@ -125,20 +119,7 @@ class HypersurfaceFamily:
 
     @property
     def weight_product(self) -> int:
-        prod = 1
-        for a in self.weights.original:
-            prod *= a
-        return prod
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HypersurfaceFamily)
-            and self.weights == other.weights
-            and self.degree == other.degree
-        )
-
-    def __hash__(self) -> int:
-        return hash(("HypersurfaceFamily", self.weights.original, self.degree))
+        return prod(self.weights.original)
 
     def __repr__(self) -> str:
         return f"HypersurfaceFamily({list(self.weights.original)!r}, degree={self.degree})"

@@ -295,7 +295,7 @@ def reference_cy_census(c) -> list:
             coprime_to = lcm(*omit_one_gcds(smalls))
             leads = {q for q in leads if gcd(q, coprime_to) == 1}
         for lead in leads:
-            fam = HypersurfaceFamily.of((lead,) + smalls, lead + total)
+            fam = HypersurfaceFamily((lead,) + smalls, lead + total)
             if c.exclude_linear_cones and is_linear_cone(fam):
                 continue
             if c.require_well_formed and not is_well_formed(fam.weights):

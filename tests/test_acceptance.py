@@ -78,7 +78,7 @@ def criterion(number, description, time_limit=None):
 
 @criterion(1, "Klein quartic symmetry and curve bound", time_limit=1.0)
 def test_c1_klein_quartic():
-    fam = HypersurfaceFamily.of([1, 1, 1], 4)
+    fam = HypersurfaceFamily([1, 1, 1], 4)
     support = PolynomialSupport(fam, [[1, 3, 0], [0, 1, 3], [3, 0, 1]])
     assert fixing_group(support).order == 28
     assert lin_diagonal_order(support) == 7
@@ -103,7 +103,7 @@ def test_c2_fermat_diagonal_law():
 
 @criterion(3, "flagship family (36,31,30,25; 180)", time_limit=1.0)
 def test_c3_flagship_family():
-    fam = HypersurfaceFamily.of([36, 31, 30, 25], 180)
+    fam = HypersurfaceFamily([36, 31, 30, 25], 180)
     assert is_well_formed(fam.weights)
     assert quasismooth_exists(fam).exists
     fin = lin_finiteness(fam)
@@ -210,7 +210,7 @@ def test_c9_criterion_cross_validation():
         for ws in combinations_with_replacement(range(1, 11), length):
             weights = tuple(reversed(ws))
             for d in range(1, 41):
-                fam = HypersurfaceFamily.of(weights, d)
+                fam = HypersurfaceFamily(weights, d)
                 fin = lin_finiteness(fam)
                 mx = weights[0]
                 expected_finite = d > 2 * mx or (

@@ -62,7 +62,7 @@ def brute_force_cy(
         d = sum(ws)
         if d > max_degree or (max_weight is not None and ws[-1] > max_weight):
             continue
-        fam = HypersurfaceFamily.of(tuple(reversed(ws)), d)
+        fam = HypersurfaceFamily(tuple(reversed(ws)), d)
         if exclude_linear_cones and is_linear_cone(fam):
             continue
         if require_well_formed and not is_well_formed(fam.weights):
@@ -229,7 +229,7 @@ class TestGenericSearch:
         for ws in combinations_with_replacement(range(1, 6), 3):
             w = tuple(reversed(ws))
             for d in range(1, 13):
-                fam = HypersurfaceFamily.of(w, d)
+                fam = HypersurfaceFamily(w, d)
                 if is_linear_cone(fam):
                     continue
                 if not is_well_formed(fam.weights):
@@ -258,7 +258,7 @@ class TestGenericSearch:
         expected = []
         for ws in combinations_with_replacement(range(1, 6), 3):
             for d in range(1, 15):
-                fam = HypersurfaceFamily.of(tuple(reversed(ws)), d)
+                fam = HypersurfaceFamily(tuple(reversed(ws)), d)
                 if (
                     canonical_class(fam).kind is kind
                     and not is_linear_cone(fam)
@@ -293,7 +293,7 @@ class TestGenericSearch:
             d = sum(ws)
             if d > 20:
                 continue
-            fam = HypersurfaceFamily.of(tuple(reversed(ws)), d)
+            fam = HypersurfaceFamily(tuple(reversed(ws)), d)
             if is_linear_cone(fam) or not is_well_formed(fam.weights):
                 continue
             expected.append((d, fam.weights.canonical))

@@ -385,14 +385,33 @@ class TestUsage:
 
     @pytest.mark.parametrize("value", ["0", "-5", "many"])
     def test_max_candidates_must_be_positive(self, capsys, value):
-        for argv in (
-            ["check", "--weights", "36,31,30,25", "--degree", "180"],
-            ["enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "30"],
-        ):
-            code, out, err = run(capsys, *argv, "--max-candidates", value)
-            assert code == 2
-            assert out == ""
-            assert "--max-candidates" in err
+        code, out, err = run(
+            capsys,
+            "enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "30",
+            "--max-candidates", value,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-candidates" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symmetry", "support.json", "--jordan-table", "table.txt"],
+            ["fermat", "--dim", "1", "--degree", "4", "--jordan-table", "table.txt"],
+            ["enumerate", "--dim", "1", "--jordan-table", "table.txt"],
+            ["check", "--weights", "1,1,1", "--degree", "4", "--max-candidates", "5"],
+            ["symmetry", "support.json", "--max-candidates", "5"],
+            ["fermat", "--dim", "1", "--degree", "4", "--max-candidates", "5"],
+            ["bound", "--weights", "1,1,1", "--degree", "4", "--max-candidates", "5"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_flags_only_where_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 class TestIntegerFlags:

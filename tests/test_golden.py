@@ -109,7 +109,7 @@ CASES = {
     # exit 2: argparse usage errors
     "usage_missing_subcommand": [],
     "usage_unknown_flag": ["check", *FLAGSHIP, "--nope"],
-    "usage_max_candidates": ["check", *FLAGSHIP, "--max-candidates", "0"],
+    "usage_max_candidates": ["enumerate", "--dim", "1", "--max-candidates", "0"],
 }
 
 

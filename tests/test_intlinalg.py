@@ -242,7 +242,17 @@ class TestRepresentability:
         (fermat_support, (2, 4.0)),
         (worst_case_constant, (True, JordanTable.default())),
     ],
-    ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
+    ids=[
+        "n_representable-(7.9, [2, 3])",
+        "n_representable-('7', [2, 3])",
+        "n_representable-(True, [2, 3])",
+        "representable_mask-(7, [2.5])",
+        "representable_mask-(7.0, [2])",
+        "partitions_of-('4',)",
+        "fermat_prediction-(2.9, 4.2)",
+        "fermat_support-(2, 4.0)",
+        "worst_case_constant-(True, JordanTable.default())",
+    ],
 )
 def test_primitives_reject_non_integers(call, args):
     with pytest.raises(ValidationError, match="must be an integer"):
@@ -260,14 +270,19 @@ def test_primitives_reject_non_integers(call, args):
         lambda: loop_matrix(["3"]),
         lambda: IntMatrix(2.0, 1, (1, 2)),
         lambda: IntMatrix(1, "2", (1, 2)),
+        lambda: IntMatrix.from_rows([5]),
+        lambda: IntMatrix.from_rows(5),
+        lambda: IntMatrix.from_rows([[1, 2], 5]),
     ],
     ids=[
         "float", "fraction", "from_rows bool", "from_rows str", "loop float", "loop one str",
-        "float rows", "str cols",
+        "float rows", "str cols", "from_rows int row", "from_rows int", "from_rows mixed rows",
     ],
 )
 def test_matrices_reject_non_integers(build):
-    with pytest.raises(ValidationError, match="matrix (entry|rows|cols) must be an integer"):
+    with pytest.raises(
+        ValidationError, match="matrix (entry|rows|cols) must be an (integer|iterable)"
+    ):
         build()
 
 

@@ -103,22 +103,22 @@ class TestEnumeration:
 
 class TestSupportValidation:
     def test_degree_mismatch_names_row(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         with pytest.raises(ValidationError, match="row 1"):
             PolynomialSupport(fam, [[4, 0, 0], [1, 1, 1]])
 
     def test_duplicates_rejected(self):
-        fam = HypersurfaceFamily.of([1, 1], 2)
+        fam = HypersurfaceFamily([1, 1], 2)
         with pytest.raises(ValidationError, match="distinct"):
             PolynomialSupport(fam, [[1, 1], [1, 1]])
 
     def test_empty_rejected(self):
-        fam = HypersurfaceFamily.of([1, 1], 2)
+        fam = HypersurfaceFamily([1, 1], 2)
         with pytest.raises(ValidationError):
             PolynomialSupport(fam, [])
 
     def test_non_iterable_rows_rejected(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         with pytest.raises(ValidationError, match="iterable of exponent rows"):
             PolynomialSupport(fam, 5)
         with pytest.raises(ValidationError, match="monomial row 1"):
@@ -126,7 +126,7 @@ class TestSupportValidation:
 
     def test_user_order_alignment(self):
         # weights in the user's order: (1, 3, 4); x_1 * x_2 has degree 7
-        fam = HypersurfaceFamily.of([1, 3, 4], 7)
+        fam = HypersurfaceFamily([1, 3, 4], 7)
         support = PolynomialSupport(fam, [[0, 1, 1], [7, 0, 0], [3, 0, 1]])
         assert len(support) == 3
 
@@ -150,7 +150,7 @@ def _random_rows(rng: random.Random) -> tuple[HypersurfaceFamily, list[list[int]
         if piece:
             break
     rows = [list(r) for r in rng.sample(piece, rng.randint(1, len(piece)))]
-    return HypersurfaceFamily.of(ws, d), rows
+    return HypersurfaceFamily(ws, d), rows
 
 
 def _inject(rng: random.Random, rows: list, kind: str) -> list:
@@ -245,14 +245,14 @@ class TestSupportPaths:
         ],
     )
     def test_messages_name_the_defect(self, rows, message):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         assert _error_text(fam, rows) == message
         assert _error_text(fam, iter(rows)) == message
 
 
 class TestMonomialExistence:
     def test_fermat_pass(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         support = PolynomialSupport(fam, [[4, 0, 0], [0, 4, 0], [0, 0, 4]])
         report = monomial_existence_check(support)
         assert report.passed
@@ -263,14 +263,14 @@ class TestMonomialExistence:
         ]
 
     def test_klein_pass(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         support = PolynomialSupport(fam, [[1, 3, 0], [0, 1, 3], [3, 0, 1]])
         report = monomial_existence_check(support)
         assert report.passed
         assert report.witnesses[0].witness == (3, 0, 1)
 
     def test_all_variables_fail(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 3)
+        fam = HypersurfaceFamily([1, 1, 1], 3)
         support = PolynomialSupport(fam, [[1, 1, 1]])
         report = monomial_existence_check(support)
         assert not report.passed
@@ -320,7 +320,7 @@ class TestPolynomialValidation:
             WeightedPolynomial(WeightSystem([1, 1]), 2, [(1, (1, 1)), (2, (1, 1))])
 
     def test_coefficient_count_mismatch(self):
-        fam = HypersurfaceFamily.of([1, 1], 2)
+        fam = HypersurfaceFamily([1, 1], 2)
         support = PolynomialSupport(fam, [[2, 0], [0, 2]])
         with pytest.raises(ValidationError):
             WeightedPolynomial.from_support(support, [1])

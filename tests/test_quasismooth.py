@@ -25,23 +25,23 @@ weight_lists = st.lists(st.integers(min_value=1, max_value=10), min_size=2, max_
 
 class TestLinearCone:
     def test_examples(self):
-        assert is_linear_cone(HypersurfaceFamily.of([2, 1, 1, 1, 1], 2)) is True
-        assert is_linear_cone(HypersurfaceFamily.of([1, 1, 1], 3)) is False
-        assert is_linear_cone(HypersurfaceFamily.of([5, 5, 4, 4], 5)) is True
+        assert is_linear_cone(HypersurfaceFamily([2, 1, 1, 1, 1], 2)) is True
+        assert is_linear_cone(HypersurfaceFamily([1, 1, 1], 3)) is False
+        assert is_linear_cone(HypersurfaceFamily([5, 5, 4, 4], 5)) is True
 
 
 class TestQuasismoothExamples:
     def test_plain_quartic_surface(self):
-        report = quasismooth_exists(HypersurfaceFamily.of([1, 1, 1, 1], 4))
+        report = quasismooth_exists(HypersurfaceFamily([1, 1, 1, 1], 4))
         assert report.exists and not report.is_linear_cone
 
     def test_flagship_family(self):
-        report = quasismooth_exists(HypersurfaceFamily.of([36, 31, 30, 25], 180))
+        report = quasismooth_exists(HypersurfaceFamily([36, 31, 30, 25], 180))
         assert report.exists
 
     def test_failing_family_with_diagnostics(self):
         report = quasismooth_exists(
-            HypersurfaceFamily.of([1, 1, 3], 5), diagnostics=True
+            HypersurfaceFamily([1, 1, 3], 5), diagnostics=True
         )
         assert not report.exists
         # canonical order (3, 1, 1): the singleton {0} fails because 5 is not
@@ -53,7 +53,7 @@ class TestQuasismoothExamples:
         assert singleton[0].required == 1
 
     def test_linear_cone_short_circuit(self):
-        report = quasismooth_exists(HypersurfaceFamily.of([5, 5, 4, 4], 5))
+        report = quasismooth_exists(HypersurfaceFamily([5, 5, 4, 4], 5))
         assert report.exists and report.is_linear_cone
         assert report.failing_subsets == ()
 
@@ -64,7 +64,7 @@ class TestQuasismoothExamples:
             ((2, 3, 5, 10), 20),
             ((3, 3, 4), 10),
         ]:
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             assert (
                 quasismooth_exists(fam).exists
                 == quasismooth_exists(fam, diagnostics=True).exists
@@ -72,7 +72,7 @@ class TestQuasismoothExamples:
 
     def test_variable_count_cap(self):
         with pytest.raises(ResourceCapError):
-            quasismooth_exists(HypersurfaceFamily.of([1] * 25, 3))
+            quasismooth_exists(HypersurfaceFamily([1] * 25, 3))
 
 
 class TestAgainstIndependentReimplementation:
@@ -81,7 +81,7 @@ class TestAgainstIndependentReimplementation:
         # diagnostics index the canonical (non-increasing) order
         for ws in combinations_with_replacement(range(1, 7), 3):
             for d in range(1, 26):
-                fam = HypersurfaceFamily.of(ws, d)
+                fam = HypersurfaceFamily(ws, d)
                 expected = naive_quasismooth_failures(fam.weights.canonical, d)
                 fast = quasismooth_exists(fam)
                 full = quasismooth_exists(fam, diagnostics=True)
@@ -95,7 +95,7 @@ class TestAgainstIndependentReimplementation:
             length = rng.randint(3, 4)
             ws = tuple(sorted((rng.randint(1, 10) for _ in range(length)), reverse=True))
             d = rng.randint(1, 40)
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             assert quasismooth_exists(fam).exists == naive_quasismooth_exists(ws, d), (
                 ws,
                 d,
@@ -105,8 +105,8 @@ class TestAgainstIndependentReimplementation:
     def test_permutation_invariant(self, ws, d, rng):
         shuffled = list(ws)
         rng.shuffle(shuffled)
-        a = quasismooth_exists(HypersurfaceFamily.of(ws, d))
-        b = quasismooth_exists(HypersurfaceFamily.of(shuffled, d))
+        a = quasismooth_exists(HypersurfaceFamily(ws, d))
+        b = quasismooth_exists(HypersurfaceFamily(shuffled, d))
         assert a.exists == b.exists
         assert a.is_linear_cone == b.is_linear_cone
 
@@ -122,7 +122,7 @@ class TestParentMasks:
             pool = [rng.randint(1, 12) for _ in range(rng.randint(1, m))]
             ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
             d = rng.randint(1, 60)
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             expected = naive_quasismooth_failures(ws, d)
             full = quasismooth_exists(fam, diagnostics=True)
             fast = quasismooth_exists(fam)
@@ -141,16 +141,16 @@ class TestParentMasks:
             return original(mask, g, limit, full)
 
         monkeypatch.setattr(wph.quasismooth, "_closed", counted)
-        assert quasismooth_exists(HypersurfaceFamily.of([36, 31, 30, 25], 180)).exists
+        assert quasismooth_exists(HypersurfaceFamily([36, 31, 30, 25], 180)).exists
         assert fresh == [36, 31, 30]
 
     def test_degree_over_the_target_cap(self):
         for d in (REPRESENTABLE_TARGET_CAP + 2, 10**15):
             for diagnostics in (False, True):
                 with pytest.raises(ResourceCapError):
-                    quasismooth_exists(HypersurfaceFamily.of([2, 2], d), diagnostics=diagnostics)
+                    quasismooth_exists(HypersurfaceFamily([2, 2], d), diagnostics=diagnostics)
         # A failing singleton ends the fast scan before any mask is built.
-        fam = HypersurfaceFamily.of([5, 3], REPRESENTABLE_TARGET_CAP + 1)
+        fam = HypersurfaceFamily([5, 3], REPRESENTABLE_TARGET_CAP + 1)
         assert quasismooth_exists(fam).failing_subsets[0].subset == (0,)
         with pytest.raises(ResourceCapError):
             quasismooth_exists(fam, diagnostics=True)
@@ -164,7 +164,7 @@ class TestConsistencyWithMonomialExistence:
             length = rng.randint(2, 4)
             ws = tuple(sorted((rng.randint(1, 8) for _ in range(length)), reverse=True))
             d = rng.randint(2, 30)
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             report = quasismooth_exists(fam)
             if not report.exists or report.is_linear_cone:
                 continue

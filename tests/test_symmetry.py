@@ -46,13 +46,13 @@ from conftest import (
 
 
 def klein_support():
-    fam = HypersurfaceFamily.of([1, 1, 1], 4)
+    fam = HypersurfaceFamily([1, 1, 1], 4)
     return PolynomialSupport(fam, [[1, 3, 0], [0, 1, 3], [3, 0, 1]])
 
 
 class TestFixingGroup:
     def test_fermat_cubic_curve_weights(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         support = PolynomialSupport(fam, [[4, 0, 0], [0, 4, 0], [0, 0, 4]])
         group = fixing_group(support)
         assert group.invariant_factors == (4, 4, 4)
@@ -67,14 +67,14 @@ class TestFixingGroup:
         assert count_fixing_tuples(klein_support().rows, 28) == 28
 
     def test_rank_deficient(self):
-        support = PolynomialSupport(HypersurfaceFamily.of([1, 1], 2), [[1, 1]])
+        support = PolynomialSupport(HypersurfaceFamily([1, 1], 2), [[1, 1]])
         group = fixing_group(support)
         assert not group.finite
         assert group.free_rank == 1
         assert group.order is None
 
     def test_hyperelliptic(self):
-        fam = HypersurfaceFamily.of([3, 1, 1], 6)
+        fam = HypersurfaceFamily([3, 1, 1], 6)
         support = PolynomialSupport(fam, [[2, 0, 0], [0, 6, 0], [0, 0, 6]])
         group = fixing_group(support)
         assert group.order == 72
@@ -90,7 +90,7 @@ class TestFixingGroup:
             permuted_ws = [fam.weights.original[p] for p in perm]
             permuted_rows = [tuple(row[p] for p in perm) for row in support.rows]
             permuted = PolynomialSupport(
-                HypersurfaceFamily.of(permuted_ws, fam.degree), permuted_rows
+                HypersurfaceFamily(permuted_ws, fam.degree), permuted_rows
             )
             assert fixing_group(permuted) == fixing_group(support)
 
@@ -112,7 +112,7 @@ class TestFixingGroup:
         # a support large enough that the lattice exit skips rows
         from wph import enumerate_monomials
 
-        fam = HypersurfaceFamily.of([1, 1, 1], 12)
+        fam = HypersurfaceFamily([1, 1, 1], 12)
         rows = enumerate_monomials(fam.weights, 12)
         assert len(rows) > 16
         support = PolynomialSupport(fam, rows)
@@ -181,7 +181,7 @@ class TestLatticeExit:
             k = rng.choice((1, 1, 2, 3))
             ws, d = [k * a for a in ws], k * d
             rows = rng.sample(rows, len(rows))
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             if checked % 2:
                 rows = [
                     r
@@ -203,7 +203,7 @@ class TestLatticeExit:
         rng = random.Random(4242)
         for _ in range(15):
             ws, d, rows = _random_graded_piece(rng)
-            fam = HypersurfaceFamily.of(ws, 2 * d)
+            fam = HypersurfaceFamily(ws, 2 * d)
             doubled = [tuple(2 * e for e in r) for r in rows]
             assert not _lattice_oracle_check(PolynomialSupport(fam, doubled))
 
@@ -223,7 +223,7 @@ class TestLatticeExit:
             direct = smith_normal_form(IntMatrix.from_rows(kept)).invariant_factors
             if len(direct) == len(ws) and prod(direct) == d // gcd(d, *ws):
                 continue
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             assert not _lattice_oracle_check(PolynomialSupport(fam, kept))
             checked += 1
 
@@ -264,7 +264,7 @@ class TestWitnessFirst:
             return basis
 
         monkeypatch.setattr(wph.symmetry, "_row_lattice_basis", counted)
-        group = fixing_group(PolynomialSupport(HypersurfaceFamily.of(ws, d), rows))
+        group = fixing_group(PolynomialSupport(HypersurfaceFamily(ws, d), rows))
         assert len(pulled) == 1 and pulled[0] <= 200
         # The whole matrix's Smith form: its 20 475 x 20 475 transform is out
         # of reach, so its invariant factors come from a basis folding in
@@ -278,7 +278,7 @@ class TestWitnessFirst:
 
 class TestLinDiagonalOrder:
     def test_fermat_quartic_curve(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 4)
+        fam = HypersurfaceFamily([1, 1, 1], 4)
         support = PolynomialSupport(fam, [[4, 0, 0], [0, 4, 0], [0, 0, 4]])
         assert lin_diagonal_order(support) == 16
 
@@ -286,16 +286,16 @@ class TestLinDiagonalOrder:
         assert lin_diagonal_order(klein_support()) == 7
 
     def test_hyperelliptic(self):
-        fam = HypersurfaceFamily.of([3, 1, 1], 6)
+        fam = HypersurfaceFamily([3, 1, 1], 6)
         support = PolynomialSupport(fam, [[2, 0, 0], [0, 6, 0], [0, 0, 6]])
         assert lin_diagonal_order(support) == 12
 
     def test_infinite_flag(self):
-        support = PolynomialSupport(HypersurfaceFamily.of([1, 1], 2), [[1, 1]])
+        support = PolynomialSupport(HypersurfaceFamily([1, 1], 2), [[1, 1]])
         assert lin_diagonal_order(support) is None
 
     def test_common_factor_rejected(self):
-        support = PolynomialSupport(HypersurfaceFamily.of([2, 2], 4), [[1, 1]])
+        support = PolynomialSupport(HypersurfaceFamily([2, 2], 4), [[1, 1]])
         with pytest.raises(ValidationError, match="factor"):
             lin_diagonal_order(support)
 
@@ -317,7 +317,7 @@ class TestLinDiagonalOrder:
 
 class TestDistinguishedMinor:
     def test_fermat_cubic_threefold(self):
-        fam = HypersurfaceFamily.of([1, 1, 1, 1], 3)
+        fam = HypersurfaceFamily([1, 1, 1, 1], 3)
         rows = [
             [3, 0, 0, 0],
             [0, 3, 0, 0],
@@ -337,21 +337,21 @@ class TestDistinguishedMinor:
         assert [c.companion for c in minor.chosen_rows] == [2, 0, 1]
 
     def test_hyperelliptic_equality_case(self):
-        fam = HypersurfaceFamily.of([3, 1, 1], 6)
+        fam = HypersurfaceFamily([3, 1, 1], 6)
         support = PolynomialSupport(fam, [[2, 0, 0], [0, 6, 0], [0, 0, 6]])
         minor = distinguished_minor(support)
         assert minor.determinant == 72
         assert minor.determinant * fam.weight_product == fam.degree ** 3
 
     def test_prefers_pure_powers(self):
-        fam = HypersurfaceFamily.of([1, 1], 4)
+        fam = HypersurfaceFamily([1, 1], 4)
         support = PolynomialSupport(fam, [[3, 1], [4, 0], [0, 4]])
         minor = distinguished_minor(support)
         assert minor.chosen_rows[0].companion is None
         assert minor.chosen_rows[0].exponent == 4
 
     def test_tie_breaks_on_largest_exponent_then_smallest_companion(self):
-        fam = HypersurfaceFamily.of([1, 1, 1, 1], 5)
+        fam = HypersurfaceFamily([1, 1, 1, 1], 5)
         rows = [
             [2, 3, 0, 0],  # not a witness for variable 0 (companion exponent 3)
             [3, 0, 2, 0],  # not a witness either
@@ -368,7 +368,7 @@ class TestDistinguishedMinor:
         assert choice.exponent == 4 and choice.companion == 1
 
     def test_missing_witness_names_variable(self):
-        fam = HypersurfaceFamily.of([1, 1, 1], 3)
+        fam = HypersurfaceFamily([1, 1, 1], 3)
         support = PolynomialSupport(fam, [[3, 0, 0], [1, 1, 1]])
         with pytest.raises(MissingWitnessError) as err:
             distinguished_minor(support)
@@ -412,7 +412,7 @@ class TestWitnessPass:
             if piece:
                 break
         rows = rng.sample(piece, rng.randint(1, len(piece)))
-        return PolynomialSupport(HypersurfaceFamily.of(ws, d), rows)
+        return PolynomialSupport(HypersurfaceFamily(ws, d), rows)
 
     def test_lists_match_brute_force(self):
         rng = random.Random(2301)
@@ -446,12 +446,12 @@ class TestWitnessPass:
 
 class TestForcedCentralGroup:
     def test_flagship_order_five(self):
-        group = forced_central_group(HypersurfaceFamily.of([36, 31, 30, 25], 180))
+        group = forced_central_group(HypersurfaceFamily([36, 31, 30, 25], 180))
         assert group.finite and group.order == 5
         assert group.invariant_factors == (5,)
 
     def test_quartic_surface_trivial(self):
-        group = forced_central_group(HypersurfaceFamily.of([1, 1, 1, 1], 4))
+        group = forced_central_group(HypersurfaceFamily([1, 1, 1, 1], 4))
         assert group.finite and group.order == 1
         # oracle: the full graded piece only admits the scalar action
         from wph import enumerate_monomials
@@ -460,7 +460,7 @@ class TestForcedCentralGroup:
         assert count_fixing_tuples(rows, 4) == 4
 
     def test_cubic_curve_trivial(self):
-        group = forced_central_group(HypersurfaceFamily.of([1, 1, 1], 3))
+        group = forced_central_group(HypersurfaceFamily([1, 1, 1], 3))
         assert group.finite and group.order == 1
         from wph import enumerate_monomials
 
@@ -468,29 +468,29 @@ class TestForcedCentralGroup:
         assert count_fixing_tuples(rows, 3) == 3
 
     def test_linear_cone_infinite(self):
-        group = forced_central_group(HypersurfaceFamily.of([5, 5, 4, 4], 5))
+        group = forced_central_group(HypersurfaceFamily([5, 5, 4, 4], 5))
         assert not group.finite
         assert group.free_rank == 2
 
     def test_rejects_non_quasismooth_family(self):
         with pytest.raises(ValidationError, match="quasismooth"):
-            forced_central_group(HypersurfaceFamily.of([1, 1, 3], 5))
+            forced_central_group(HypersurfaceFamily([1, 1, 3], 5))
 
     def test_unsorted_input_weights(self):
-        group = forced_central_group(HypersurfaceFamily.of([25, 30, 31, 36], 180))
+        group = forced_central_group(HypersurfaceFamily([25, 30, 31, 36], 180))
         assert group.order == 5
-        group = forced_central_group(HypersurfaceFamily.of([4, 9, 6, 7], 18))
+        group = forced_central_group(HypersurfaceFamily([4, 9, 6, 7], 18))
         assert group.invariant_factors == (2,)
 
     def test_cap_counts_rows_read(self):
         # 53 130 monomials, of which the first 6 span the degree lattice.
-        group = forced_central_group(HypersurfaceFamily.of([1] * 6, 20), monomial_cap=10)
+        group = forced_central_group(HypersurfaceFamily([1] * 6, 20), monomial_cap=10)
         assert group.finite and group.order == 1
 
     def test_cap_raises_when_the_piece_lattice_is_smaller(self):
         # The flagship piece has 4 monomials and forced order 5: its lattice
         # has index 5 * d, never d, so every row is read.
-        fam = HypersurfaceFamily.of([36, 31, 30, 25], 180)
+        fam = HypersurfaceFamily([36, 31, 30, 25], 180)
         assert len(enumerate_monomials(fam.weights, 180)) == 4
         with pytest.raises(ResourceCapError, match="more than 3 monomials"):
             forced_central_group(fam, monomial_cap=3)
@@ -499,7 +499,7 @@ class TestForcedCentralGroup:
     @pytest.mark.parametrize("cap", ["5", 2.5, True, -1])
     def test_rejects_bad_monomial_cap(self, cap):
         with pytest.raises(ValidationError, match="monomial cap"):
-            forced_central_group(HypersurfaceFamily.of([1, 1, 1], 3), monomial_cap=cap)
+            forced_central_group(HypersurfaceFamily([1, 1, 1], 3), monomial_cap=cap)
 
     def test_matches_brute_force_quotient_on_random_families(self):
         rng = random.Random(9009)
@@ -512,7 +512,7 @@ class TestForcedCentralGroup:
             if gcd(*ws) != 1:
                 continue
             d = rng.randint(2, 24)
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             if not quasismooth_exists(fam).exists:
                 continue
             rows = enumerate_monomials(fam.weights, d)
@@ -591,7 +591,7 @@ class TestForcedCentralGroup:
             if gcd(*ws) != 1:
                 continue
             d = rng.randint(12, 30)
-            fam = HypersurfaceFamily.of(ws, d)
+            fam = HypersurfaceFamily(ws, d)
             if not quasismooth_exists(fam).exists:
                 continue
             rows = enumerate_monomials(fam.weights, d)

@@ -1,0 +1,61 @@
+"""The input value types are immutable once built, and stay hashable by value."""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+
+import pytest
+
+import wph
+from wph import HypersurfaceFamily, PolynomialSupport, WeightedPolynomial, WeightSystem
+
+KLEIN = HypersurfaceFamily([1, 1, 1], 4)
+KLEIN_ROWS = [[1, 3, 0], [0, 1, 3], [3, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightSystem([3, 2, 1]),
+        lambda: HypersurfaceFamily([3, 1, 1], 6),
+        lambda: PolynomialSupport(KLEIN, KLEIN_ROWS),
+        lambda: WeightedPolynomial.from_support(PolynomialSupport(KLEIN, KLEIN_ROWS)),
+    ],
+    ids=["WeightSystem", "HypersurfaceFamily", "PolynomialSupport", "WeightedPolynomial"],
+)
+def test_fields_cannot_be_assigned(build):
+    value = build()
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+def test_mutation_examples_are_refused():
+    w = WeightSystem([3, 2, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.original = (9, 9)
+    assert w.original == w.canonical == (3, 2, 1)
+    fam = HypersurfaceFamily([3, 1, 1], 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.degree = -4
+    assert fam.degree == 6
+
+
+def test_equal_instances_find_each_other_in_sets():
+    systems = {WeightSystem([3, 2, 1])}
+    assert WeightSystem((3, 2, 1)) in systems
+    assert WeightSystem([1, 2, 3]) not in systems
+    families = {HypersurfaceFamily(WeightSystem([3, 1, 1]), 6)}
+    assert HypersurfaceFamily([3, 1, 1], 6) in families
+    assert HypersurfaceFamily([3, 1, 1], 7) not in families
+
+
+def test_exported_dataclasses_are_frozen():
+    classes = [obj for _, obj in inspect.getmembers(wph, inspect.isclass)]
+    value_types = [c for c in classes if dataclasses.is_dataclass(c)]
+    assert {WeightSystem, HypersurfaceFamily, PolynomialSupport, WeightedPolynomial} <= set(
+        value_types
+    )
+    mutable = [c.__name__ for c in value_types if not c.__dataclass_params__.frozen]
+    assert not mutable, mutable

@@ -35,19 +35,19 @@ class TestWeightSystem:
         with pytest.raises(ValidationError):
             WeightSystem([1, 0])
         with pytest.raises(ValidationError):
-            HypersurfaceFamily.of([1, 1], 0)
+            HypersurfaceFamily([1, 1], 0)
 
     def test_bools_are_not_integers(self):
         with pytest.raises(ValidationError, match="weight must be an integer"):
             WeightSystem([True, True, True])
         with pytest.raises(ValidationError, match="degree must be an integer"):
-            HypersurfaceFamily.of([1, 1, 1], True)
+            HypersurfaceFamily([1, 1, 1], True)
         with pytest.raises(ValidationError, match="exponent must be an integer"):
-            PolynomialSupport(HypersurfaceFamily.of([1, 1, 1], 1), [[True, 0, 0]])
+            PolynomialSupport(HypersurfaceFamily([1, 1, 1], 1), [[True, 0, 0]])
 
     def test_degenerate_degree_allowed(self):
         # A degree below every weight is an empty family, not an error.
-        fam = HypersurfaceFamily.of([5, 7], 3)
+        fam = HypersurfaceFamily([5, 7], 3)
         assert fam.degree == 3
 
 
@@ -87,16 +87,16 @@ class TestWellFormed:
 
 class TestCanonicalClass:
     def test_examples(self):
-        cy = canonical_class(HypersurfaceFamily.of([1, 1, 1, 1], 4))
+        cy = canonical_class(HypersurfaceFamily([1, 1, 1, 1], 4))
         assert (cy.r, cy.kind) == (0, CanonicalKind.CALABI_YAU)
-        gt = canonical_class(HypersurfaceFamily.of([3, 1, 1], 6))
+        gt = canonical_class(HypersurfaceFamily([3, 1, 1], 6))
         assert (gt.r, gt.kind) == (1, CanonicalKind.GENERAL_TYPE)
-        fano = canonical_class(HypersurfaceFamily.of([1, 1, 1, 1], 2))
+        fano = canonical_class(HypersurfaceFamily([1, 1, 1, 1], 2))
         assert (fano.r, fano.kind) == (-2, CanonicalKind.FANO)
 
     @given(weight_lists, st.integers(min_value=1, max_value=80))
     def test_exactly_one_kind(self, ws, d):
-        report = canonical_class(HypersurfaceFamily.of(ws, d))
+        report = canonical_class(HypersurfaceFamily(ws, d))
         assert report.kind in CanonicalKind
         assert (report.r < 0) == (report.kind is CanonicalKind.FANO)
         assert (report.r == 0) == (report.kind is CanonicalKind.CALABI_YAU)
@@ -106,36 +106,36 @@ class TestCanonicalClass:
 class TestLinearity:
     def test_examples(self):
         assert (
-            aut_equals_lin(HypersurfaceFamily.of([1, 1, 1, 1, 1], 5))
+            aut_equals_lin(HypersurfaceFamily([1, 1, 1, 1, 1], 5))
             is LinearityVerdict.ALL_LINEAR
         )
         assert (
-            aut_equals_lin(HypersurfaceFamily.of([1, 1, 1, 1], 4))
+            aut_equals_lin(HypersurfaceFamily([1, 1, 1, 1], 4))
             is LinearityVerdict.MAYBE_NON_LINEAR
         )
         assert (
-            aut_equals_lin(HypersurfaceFamily.of([1, 1, 1], 4))
+            aut_equals_lin(HypersurfaceFamily([1, 1, 1], 4))
             is LinearityVerdict.OUT_OF_RANGE
         )
 
     def test_surface_with_nontrivial_canonical_class(self):
         assert (
-            aut_equals_lin(HypersurfaceFamily.of([36, 31, 30, 25], 180))
+            aut_equals_lin(HypersurfaceFamily([36, 31, 30, 25], 180))
             is LinearityVerdict.ALL_LINEAR
         )
 
 
 class TestGenericity:
     def test_examples(self):
-        assert genericity_condition(HypersurfaceFamily.of([36, 31, 30, 25], 180)) is True
-        assert genericity_condition(HypersurfaceFamily.of([1, 1, 1], 4)) is False
-        assert genericity_condition(HypersurfaceFamily.of([1, 1, 1, 1], 5)) is True
+        assert genericity_condition(HypersurfaceFamily([36, 31, 30, 25], 180)) is True
+        assert genericity_condition(HypersurfaceFamily([1, 1, 1], 4)) is False
+        assert genericity_condition(HypersurfaceFamily([1, 1, 1, 1], 5)) is True
 
     def test_genericity_implies_finiteness_exhaustively(self):
         # every weight tuple with entries <= 8, length <= 5, degrees <= 60
         for length in range(2, 6):
             for ws in combinations_with_replacement(range(1, 9), length):
                 for d in range(1, 61):
-                    fam = HypersurfaceFamily.of(ws, d)
+                    fam = HypersurfaceFamily(ws, d)
                     if genericity_condition(fam):
                         assert lin_finiteness(fam).finite, (ws, d)
