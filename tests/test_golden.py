@@ -39,6 +39,7 @@ CASES = {
     "symmetry_large_json": ["symmetry", "inputs/large.json", "--json"],
     "symmetry_large_text": ["symmetry", "inputs/large.json"],
     "symmetry_coefficients_json": ["symmetry", "inputs/klein_coefficients.json", "--json"],
+    "symmetry_coefficients_text": ["symmetry", "inputs/klein_coefficients.json"],
     "symmetry_rank_deficient_json": ["symmetry", "inputs/rank_deficient.json", "--json"],
     "symmetry_common_factor_json": ["symmetry", "inputs/common_factor.json", "--json"],
     "symmetry_no_witness_text": ["symmetry", "inputs/no_witness.json"],
@@ -58,6 +59,21 @@ CASES = {
     "check_linear_cone_json": ["check", "--weights", "5,5,4,4", "--degree", "5", "--json"],
     "bound_infinite_json": ["bound", "--weights", "3,3,1,1", "--degree", "6", "--json"],
     "bound_no_table_entry_text": ["bound", "--weights", "1,1,1,1", "--degree", "5"],
+    # a table file supplies the GL_3 entry; 7,1,1,1 gives proper fractions
+    "check_jordan_table_text": [
+        "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table", "inputs/jordan.txt",
+    ],
+    "check_jordan_table_json": [
+        "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table", "inputs/jordan.txt",
+        "--json",
+    ],
+    "bound_jordan_table_text": [
+        "bound", "--weights", "7,1,1,1", "--degree", "15", "--jordan-table", "inputs/jordan.txt",
+    ],
+    "bound_jordan_table_json": [
+        "bound", "--weights", "7,1,1,1", "--degree", "15", "--jordan-table", "inputs/jordan.txt",
+        "--json",
+    ],
     "check_p5_degree_20_json": [
         "check", "--weights", "1,1,1,1,1,1", "--degree", "20", "--json",
     ],
