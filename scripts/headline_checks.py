@@ -39,7 +39,7 @@ def flagship():
     print("== degree-180 family in P(36,31,30,25)")
     forced = forced_central_group(fam)
     print(f"forced central subgroup order: {forced.order} (expect 5)")
-    bound = lin_order_bound(fam, JordanTable.default())
+    bound = lin_order_bound(fam, JordanTable())
     print(f"order bound: {bound.exact} = floor {bound.floor} (expect floor 6)")
     print()
 

@@ -26,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .intlinalg import partitions_of
-from .weights import HypersurfaceFamily, WeightSystem, _plain_int, as_int
+from .weights import HypersurfaceFamily, WeightSystem, _text_int, as_int, as_rational
 
 #: Effective constant for curves from the classification of large automorphism
 #: groups of plane curves: 6 * d^2 / (abc) holds with exactly two exceptional
@@ -44,8 +45,6 @@ from .weights import HypersurfaceFamily, WeightSystem, _plain_int, as_int
 CURVE_EFFECTIVE_CONSTANT = Fraction(21, 2)
 
 _FACTORIAL_RULE_START = 71
-
-_PINNED_ENTRIES = {1: Fraction(1), 2: Fraction(12)}
 
 
 class Finiteness(Enum):
@@ -86,31 +85,37 @@ class JordanEntry:
     provenance: str
 
 
+_PINNED_ENTRIES = {
+    1: JordanEntry(Fraction(1), "pinned: GL_1 subgroups are abelian"),
+    2: JordanEntry(Fraction(12), "pinned: finite subgroups of GL_2"),
+}
+
+
+@dataclass(frozen=True, slots=True)
 class JordanTable:
     """Upper bounds on weak Jordan constants of GL_N(C), keyed by N.
 
     Entries for N = 1 and N = 2 are pinned (1 and 12); conflicting overrides
     are rejected. For N >= 71 the factorial rule (N+1)! answers lookups that
-    have no explicit entry. Everything else must be loaded explicitly.
+    have no explicit entry. Everything else must be loaded explicitly. Values
+    follow :func:`~wph.weights.as_rational`; ``entries`` is read-only after
+    validation, and equal tables hash alike.
     """
 
-    __slots__ = ("_entries",)
+    entries: Mapping[int, JordanEntry] | None = None
 
-    def __init__(self, entries: Mapping[int, JordanEntry] | None = None):
-        merged: dict[int, JordanEntry] = {
-            1: JordanEntry(Fraction(1), "pinned: GL_1 subgroups are abelian"),
-            2: JordanEntry(Fraction(12), "pinned: finite subgroups of GL_2"),
-        }
-        for n, entry in (entries or {}).items():
+    def __post_init__(self):
+        merged = dict(_PINNED_ENTRIES)
+        for n, entry in (self.entries or {}).items():
             n = as_int(n, "Jordan table key")
             if n < 1:
                 raise ValidationError(f"Jordan table key must be >= 1, got {n}")
-            value = Fraction(entry.value)
+            value = as_rational(entry.value, f"Jordan constant for N={n}")
             if value < 1:
                 raise ValidationError(f"Jordan constant for N={n} must be >= 1")
-            if n in _PINNED_ENTRIES and value != _PINNED_ENTRIES[n]:
+            if n in _PINNED_ENTRIES and value != _PINNED_ENTRIES[n].value:
                 raise ValidationError(
-                    f"entry for N={n} is pinned to {_PINNED_ENTRIES[n]}, got {value}"
+                    f"entry for N={n} is pinned to {_PINNED_ENTRIES[n].value}, got {value}"
                 )
             if "#" in entry.provenance or "\n" in entry.provenance:
                 raise ValidationError(
@@ -118,15 +123,14 @@ class JordanTable:
                     f"(reserved by the table format)"
                 )
             merged[n] = JordanEntry(value, entry.provenance)
-        self._entries = merged
+        object.__setattr__(self, "entries", MappingProxyType(merged))
 
-    @classmethod
-    def default(cls) -> "JordanTable":
-        return cls()
+    def __hash__(self) -> int:
+        return hash(frozenset(self.entries.items()))
 
     def entry(self, n: int) -> JordanEntry:
         n = as_int(n, "Jordan table key")
-        got = self._entries.get(n)
+        got = self.entries.get(n)
         if got is not None:
             return got
         if n >= _FACTORIAL_RULE_START:
@@ -138,16 +142,11 @@ class JordanTable:
     def value(self, n: int) -> Fraction:
         return self.entry(n).value
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JordanTable) and self._entries == other._entries
-
     def dump(self) -> str:
         """One line per explicit entry: ``N value provenance``."""
-        lines = []
-        for n in sorted(self._entries):
-            e = self._entries[n]
-            lines.append(f"{n} {_format_value(e.value)} {e.provenance}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{n} {e.value} {e.provenance}\n" for n, e in sorted(self.entries.items())
+        )
 
     @classmethod
     def parse(cls, text: str) -> "JordanTable":
@@ -158,17 +157,12 @@ class JordanTable:
             if not line:
                 continue
             parts = line.split(None, 2)
+            where = f"Jordan table line {lineno}"
             if len(parts) < 2:
-                raise ValidationError(
-                    f"Jordan table line {lineno}: expected 'N value provenance'"
-                )
-            try:
-                n = _table_int(parts[0])
-                value = _parse_value(parts[1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"Jordan table line {lineno}: {exc}") from exc
+                raise ValidationError(f"{where}: expected 'N value provenance'")
+            n = _text_int(parts[0], where)
             provenance = parts[2] if len(parts) == 3 else "user-supplied"
-            entries[n] = JordanEntry(value, provenance)
+            entries[n] = JordanEntry(as_rational(parts[1], where), provenance)
         return cls(entries)
 
     @classmethod
@@ -179,27 +173,6 @@ class JordanTable:
             raise ValidationError(f"cannot read Jordan table {path}: {exc}") from exc
         return cls.parse(text)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dump(), encoding="utf-8")
-
-
-def _format_value(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def _table_int(token: str) -> int:
-    value = _plain_int(token)
-    if value is None:
-        raise ValueError(f"{token!r} is not an integer")
-    return value
-
-
-def _parse_value(token: str) -> Fraction:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return Fraction(_table_int(num), _table_int(den))
-    return Fraction(_table_int(token))
-
 
 def chermak_delgado_bounds(weak_constant: Fraction) -> tuple[Fraction, Fraction]:
     """Admissible range [Jbar, Jbar^2] for the full Jordan constant.
@@ -207,7 +180,7 @@ def chermak_delgado_bounds(weak_constant: Fraction) -> tuple[Fraction, Fraction]
     Offered as an optional sanity filter on user-supplied tables: a claimed
     full constant outside this window contradicts the weak one.
     """
-    weak_constant = Fraction(weak_constant)
+    weak_constant = as_rational(weak_constant, "weak Jordan constant")
     return weak_constant, weak_constant * weak_constant
 
 

@@ -8,14 +8,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
 from math import factorial
 from pathlib import Path
 
 from .bounds import (
     Finiteness,
     JordanTable,
-    _format_value,
     curve_bound,
     lin_finiteness,
     lin_order_bound,
@@ -30,6 +28,7 @@ from .errors import (
 from .monomials import (
     PolynomialSupport,
     WeightedPolynomial,
+    _exact_int_rows,
     euler_check,
     monomial_existence_check,
 )
@@ -97,20 +96,11 @@ def _load_table(args) -> JordanTable:
     path = args.jordan_table or os.environ.get(JORDAN_TABLE_ENV)
     if path:
         return JordanTable.load(path)
-    return JordanTable.default()
+    return JordanTable()
 
 
 #: Rows of an integer matrix encoded at a time by :func:`_write_json`.
 _MATRIX_BLOCK_ROWS = 1024
-
-
-def _is_int_matrix(rows) -> bool:
-    """Are the non-empty ``rows`` non-empty lists or tuples of exact ints?"""
-    return (
-        set(map(type, rows)) <= {list, tuple}
-        and min(map(len, rows)) > 0
-        and set(map(type, chain.from_iterable(rows))) == {int}
-    )
 
 
 def _write_json(value, write, indent: str = "") -> None:
@@ -133,7 +123,7 @@ def _write_json(value, write, indent: str = "") -> None:
         write("\n" + indent + "}")
     elif isinstance(value, (list, tuple)) and value:
         sep = "[\n" + inner
-        if _is_int_matrix(value):
+        if _exact_int_rows(value) and min(map(len, value)) > 0:
             entry = inner + "  "
             entry_sep = ",\n" + entry
             row_sep = "]" + entry_sep + "["
@@ -191,8 +181,8 @@ def _order_bound_payload(fam: HypersurfaceFamily, table: JordanTable, finite: bo
     except MissingJordanEntryError as exc:
         return {"unavailable": str(exc)}
     return {
-        "weak_jordan": _format_value(bound.weak_jordan),
-        "exact": _format_value(bound.exact),
+        "weak_jordan": str(bound.weak_jordan),
+        "exact": str(bound.exact),
         "floor": bound.floor,
     }
 
@@ -350,11 +340,7 @@ def load_support_file(path: str | Path):
         return support, None
     if not isinstance(coefficients, list):
         raise ValidationError("support file field 'coefficients' must be a list or null")
-    try:
-        coeffs = [Fraction(str(c)) for c in coefficients]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad coefficient in support file: {exc}") from exc
-    return support, WeightedPolynomial.from_support(support, coeffs)
+    return support, WeightedPolynomial.from_support(support, coefficients)
 
 
 def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
@@ -400,7 +386,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
                 for ch in minor.chosen_rows
             ],
             "determinant": minor.determinant,
-            "bound": _format_value(cap),
+            "bound": str(cap),
             "bound_holds": 0 < minor.determinant <= cap,
         }
     else:
@@ -539,7 +525,7 @@ def cmd_bound(args) -> int:
         )
         payload["order_bound"] = _order_bound_payload(fam, table, fin.finite)
         payload["factorial_hypothesis_bound"] = {
-            "exact": _format_value(hypothesis),
+            "exact": str(hypothesis),
             "floor": hypothesis.__floor__(),
             "note": (
                 "(n+2)! * d^(n+1) / prod(weights); conjectural constant for "
@@ -549,7 +535,7 @@ def cmd_bound(args) -> int:
         if fam.n == 1:
             cb = curve_bound(fam)
             payload["curve_bound"] = {
-                "exact": _format_value(cb.bound),
+                "exact": str(cb.bound),
                 "floor": cb.bound.__floor__(),
                 "exceptions": [
                     {"name": e.name, "group": e.group, "order": e.order}

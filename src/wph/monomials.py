@@ -14,7 +14,7 @@ from operator import methodcaller, mul
 from typing import Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
-from .weights import HypersurfaceFamily, WeightSystem, as_int
+from .weights import HypersurfaceFamily, WeightSystem, as_int, as_rational
 
 #: An exponent vector is a plain tuple of nonnegative ints, one per variable.
 ExponentVector = tuple[int, ...]
@@ -104,20 +104,23 @@ def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector
     return capped()
 
 
+def _exact_int_rows(rows) -> bool:
+    """Are ``rows`` lists or tuples of exact ints (no bools, no int subclasses)?"""
+    return set(map(type, rows)) <= {list, tuple} and set(
+        map(type, chain.from_iterable(rows))
+    ) <= {int}
+
+
 def _plain_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...] | None:
     """The rows as tuples if they are valid and plain, else None.
 
-    Accepts only a non-empty list or tuple of lists or tuples of exact ints
-    (no bools, no int subclasses) and checks everything in whole-support
-    passes that run in C: length, sign, weighted degree and distinctness.
-    Anything else, valid or not, is left to :func:`_checked_rows`, which
-    accepts the same supports and names the first defect.
+    Accepts only a non-empty list or tuple of :func:`_exact_int_rows` and
+    checks everything in whole-support passes that run in C: length, sign,
+    weighted degree and distinctness. Anything else, valid or not, is left
+    to :func:`_checked_rows`, which accepts the same supports and names the
+    first defect.
     """
-    if type(rows) not in (list, tuple) or not rows:
-        return None
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+    if type(rows) not in (list, tuple) or not rows or not _exact_int_rows(rows):
         return None
     if set(map(len, rows)) != {len(weights)} or min(chain.from_iterable(rows)) < 0:
         return None
@@ -157,8 +160,6 @@ def _checked_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVe
                 f"row {idx} {vec} has weighted degree {deg}, expected {degree}"
             )
         parsed.append(vec)
-    if not parsed:
-        raise ValidationError("support must contain at least one monomial")
     if len(set(parsed)) != len(parsed):
         raise ValidationError("support rows must be distinct")
     return tuple(parsed)
@@ -182,6 +183,8 @@ class PolynomialSupport:
         vecs = _plain_rows(self.rows, weights, self.family.degree)
         if vecs is None:
             vecs = _checked_rows(self.rows, weights, self.family.degree)
+            if not vecs:
+                raise ValidationError("support must contain at least one monomial")
         object.__setattr__(self, "rows", vecs)
 
     def __len__(self) -> int:
@@ -292,7 +295,8 @@ class WeightedPolynomial:
     degree, which lets formal derivatives (degree d - a_i, possibly zero)
     live in the same type. Terms with mismatched degree are a hard error,
     never silently dropped. ``terms`` is given as (coefficient, exponents)
-    pairs and stored as a tuple of (Fraction, exponent vector) pairs.
+    pairs and stored as a tuple of (Fraction, exponent vector) pairs;
+    coefficients follow :func:`~wph.weights.as_rational`.
     """
 
     weights: WeightSystem
@@ -303,31 +307,22 @@ class WeightedPolynomial:
         degree = as_int(self.degree, "degree")
         if degree < 0:
             raise ValidationError("polynomial degree must be nonnegative")
-        ws = self.weights.original
-        parsed: list[tuple[Fraction, ExponentVector]] = []
-        seen: set[ExponentVector] = set()
-        for idx, (coeff, exps) in enumerate(self.terms):
-            c = Fraction(coeff)
-            vec = tuple(as_int(e, f"term {idx} exponent") for e in exps)
-            if len(vec) != len(ws):
+        coeffs, rows = [], []
+        for idx, term in enumerate(self.terms):
+            try:
+                coeff, exps = term
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(
-                    f"term {idx} has {len(vec)} exponents for {len(ws)} variables"
-                )
-            if any(e < 0 for e in vec):
-                raise ValidationError(f"term {idx} has a negative exponent")
+                    f"term {idx} must be a (coefficient, exponents) pair, got {term!r}"
+                ) from exc
+            c = as_rational(coeff, f"coefficient {idx}")
             if c == 0:
                 raise ValidationError(f"term {idx} has coefficient zero")
-            deg = weighted_degree(ws, vec)
-            if deg != degree:
-                raise ValidationError(
-                    f"term {idx} {vec} has weighted degree {deg}, expected {degree}"
-                )
-            if vec in seen:
-                raise ValidationError(f"duplicate exponent vector {vec}")
-            seen.add(vec)
-            parsed.append((c, vec))
+            coeffs.append(c)
+            rows.append(exps)
+        vecs = _checked_rows(rows, self.weights.original, degree)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", tuple(parsed))
+        object.__setattr__(self, "terms", tuple(zip(coeffs, vecs)))
 
     @classmethod
     def from_support(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from math import gcd, prod
 from operator import index
 
@@ -36,6 +37,38 @@ def _plain_int(text: str) -> int | None:
         return int(text)
     except ValueError:  # more digits than the interpreter converts
         return None
+
+
+def _text_int(token: str, what: str) -> int:
+    """:func:`_plain_int` of ``token``; a ValidationError naming it otherwise."""
+    value = _plain_int(token)
+    if value is None:
+        raise ValidationError(f"{what}: {token!r} is not an integer")
+    return value
+
+
+def as_rational(value, what: str) -> Fraction:
+    """The exact rational rule: a Fraction, an integer, or text ``p`` or ``p/q``.
+
+    Integers are taken as :func:`as_int` takes them, and both parts of the
+    text must pass :func:`_plain_int`. Bools, floats, blanks, underscores,
+    exponents, non-ASCII digits and zero denominators are rejected.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        p = _text_int(num, what)
+        q = _text_int(den, what) if slash else 1
+        if q == 0:
+            raise ValidationError(f"{what}: {value!r} has a zero denominator")
+        return Fraction(p, q)
+    try:
+        return Fraction(as_int(value, what))
+    except ValidationError:
+        raise ValidationError(
+            f"{what} must be an integer, a Fraction or text 'p/q', got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True, repr=False)

@@ -111,7 +111,7 @@ def test_c3_flagship_family():
     assert genericity_condition(fam)
     forced = forced_central_group(fam)
     assert forced.finite and forced.order == 5
-    bound = lin_order_bound(fam, JordanTable.default())
+    bound = lin_order_bound(fam, JordanTable())
     assert bound.floor == 6
     assert bound.floor >= forced.order
 

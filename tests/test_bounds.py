@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -49,14 +50,14 @@ class TestFiniteness:
 
 class TestJordanTable:
     def test_defaults(self):
-        t = JordanTable.default()
+        t = JordanTable()
         assert t.value(1) == 1
         assert t.value(2) == 12
         assert t.value(71) == factorial(72)
         assert t.value(100) == factorial(101)
 
     def test_missing_entry(self):
-        t = JordanTable.default()
+        t = JordanTable()
         with pytest.raises(MissingJordanEntryError) as err:
             t.value(3)
         assert err.value.n == 3
@@ -89,7 +90,7 @@ class TestJordanTable:
     def test_save_and_load(self, tmp_path):
         t = table_with({3: 360})
         path = tmp_path / "jordan.txt"
-        t.save(path)
+        path.write_text(t.dump(), encoding="utf-8")
         assert JordanTable.load(path) == t
 
     def test_parse_errors(self):
@@ -119,11 +120,38 @@ class TestJordanTable:
         with pytest.raises(ValidationError, match="must be an integer"):
             JordanTable({key: entry})
         with pytest.raises(ValidationError, match="must be an integer"):
-            JordanTable.default().entry(key)
+            JordanTable().entry(key)
+
+    @pytest.mark.parametrize("value", [0.1, 360.5, True, " 360 ", "360.0", "1_000", "1e3"])
+    def test_entry_values_follow_the_rational_rule(self, value):
+        with pytest.raises(ValidationError, match=r"Jordan constant for N=3"):
+            JordanTable({3: JordanEntry(value, "test fixture")})
+
+    @pytest.mark.parametrize("value, expected", [("360", 360), ("721/2", Fraction(721, 2))])
+    def test_entry_values_may_be_plain_text(self, value, expected):
+        assert JordanTable({3: JordanEntry(value, "test fixture")}).value(3) == expected
+
+    def test_zero_denominator_named(self):
+        with pytest.raises(ValidationError, match="line 1: '7/0' has a zero denominator"):
+            JordanTable.parse("3 7/0 a\n")
+
+    def test_tables_are_frozen_and_hash_by_value(self):
+        t = table_with({3: 360})
+        with pytest.raises(TypeError):
+            t.entries[1] = JordanEntry(Fraction(5), "override")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.entries = {}
+        assert t.value(1) == 1
+        assert hash(JordanTable()) == hash(JordanTable())
+        assert len({JordanTable(), JordanTable(), t, table_with({3: 360})}) == 2
+        assert t != JordanTable()
 
     def test_chermak_delgado_window(self):
         lo, hi = chermak_delgado_bounds(Fraction(12))
         assert (lo, hi) == (12, 144)
+        assert chermak_delgado_bounds("3/2") == (Fraction(3, 2), Fraction(9, 4))
+        with pytest.raises(ValidationError, match="weak Jordan constant"):
+            chermak_delgado_bounds(1.5)
 
     def test_provenance_reserved_characters(self):
         with pytest.raises(ValidationError, match="provenance"):
@@ -134,16 +162,16 @@ class TestJordanTable:
 
 class TestWeakJordan:
     def test_distinct_weights_give_one(self):
-        t = JordanTable.default()
+        t = JordanTable()
         assert weak_jordan_of_aut(WeightSystem([36, 31, 30, 25]), t) == 1
 
     def test_two_equal_weights_give_twelve(self):
-        t = JordanTable.default()
+        t = JordanTable()
         for a in (2, 3, 9):
             assert weak_jordan_of_aut(WeightSystem([a, 1, 1]), t) == 12
 
     def test_multiplicity_three_needs_table(self):
-        t = JordanTable.default()
+        t = JordanTable()
         with pytest.raises(MissingJordanEntryError):
             weak_jordan_of_aut(WeightSystem([1, 1, 1]), t)
         assert weak_jordan_of_aut(WeightSystem([1, 1, 1]), table_with({3: 360})) == 360
@@ -165,7 +193,7 @@ class TestWorstCase:
         assert worst_case_constant(1, t) == 12
 
     def test_dimension_zero(self):
-        assert worst_case_constant(0, JordanTable.default()) == 12
+        assert worst_case_constant(0, JordanTable()) == 12
 
     def test_dimension_two_over_all_partitions(self):
         t = table_with({3: 360, 4: 25920})
@@ -187,7 +215,7 @@ class TestWorstCase:
 class TestOrderBound:
     def test_flagship(self):
         bound = lin_order_bound(
-            HypersurfaceFamily([36, 31, 30, 25], 180), JordanTable.default()
+            HypersurfaceFamily([36, 31, 30, 25], 180), JordanTable()
         )
         assert bound.weak_jordan == 1
         assert bound.exact == Fraction(180**3, 36 * 31 * 30 * 25)
@@ -195,7 +223,7 @@ class TestOrderBound:
         assert bound.floor == 6
 
     def test_hyperelliptic(self):
-        bound = lin_order_bound(HypersurfaceFamily([3, 1, 1], 6), JordanTable.default())
+        bound = lin_order_bound(HypersurfaceFamily([3, 1, 1], 6), JordanTable())
         assert bound.weak_jordan == 12
         assert bound.exact == 144 and bound.floor == 144
 
@@ -209,11 +237,11 @@ class TestOrderBound:
 
     def test_infinite_group_rejected(self):
         with pytest.raises(InfiniteGroupError):
-            lin_order_bound(HypersurfaceFamily([2, 2, 1, 1], 4), JordanTable.default())
+            lin_order_bound(HypersurfaceFamily([2, 2, 1, 1], 4), JordanTable())
 
     def test_missing_entry_propagates(self):
         with pytest.raises(MissingJordanEntryError):
-            lin_order_bound(HypersurfaceFamily([1, 1, 1, 1], 5), JordanTable.default())
+            lin_order_bound(HypersurfaceFamily([1, 1, 1, 1], 5), JordanTable())
 
     def test_fermat_total_below_bound_for_factorial_tables(self):
         for n, d in [(1, 4), (2, 5), (3, 4)]:

@@ -193,6 +193,29 @@ class TestSymmetry:
         payload = run_json(capsys, "symmetry", path)
         assert payload["euler_identity"] is True
 
+    def test_json_integer_coefficients(self, capsys, tmp_path):
+        path = write_support(tmp_path, "ints.json", dict(KLEIN, coefficients=[1, -2, 7]))
+        assert run_json(capsys, "symmetry", path)["euler_identity"] is True
+
+    @pytest.mark.parametrize(
+        "coefficient, message",
+        [
+            (" -2/3 ", "coefficient 1: ' -2' is not an integer"),
+            ("1.5", "coefficient 1: '1.5' is not an integer"),
+            ("1e3", "coefficient 1: '1e3' is not an integer"),
+            ("1_000", "coefficient 1: '1_000' is not an integer"),
+            ("٣", "coefficient 1: '٣' is not an integer"),
+            ("1/0", "coefficient 1: '1/0' has a zero denominator"),
+            (0.1, "coefficient 1 must be an integer, a Fraction or text 'p/q', got 0.1"),
+            (True, "coefficient 1 must be an integer, a Fraction or text 'p/q', got True"),
+        ],
+    )
+    def test_inexact_coefficients_rejected(self, capsys, tmp_path, coefficient, message):
+        data = dict(KLEIN, coefficients=["1", coefficient, "7"])
+        code, out, err = run(capsys, "symmetry", write_support(tmp_path, "c.json", data))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_bool_weights_rejected(self, capsys, tmp_path):
         data = {
             "weights": [True, True, True],

@@ -116,6 +116,7 @@ CASES = {
     "error_monomials_not_list": ["symmetry", "inputs/monomials_not_list.json"],
     "error_row_not_sequence": ["symmetry", "inputs/row_not_sequence.json"],
     "error_missing_field": ["symmetry", "inputs/missing_degree.json"],
+    "error_decimal_coefficient": ["symmetry", "inputs/decimal_coefficient.json"],
     "error_fermat_degree": ["fermat", "--dim", "1", "--degree", "2", "--json"],
     # exit 3: resource cap
     "error_candidate_cap": [

@@ -240,7 +240,7 @@ class TestRepresentability:
         (partitions_of, ("4",)),
         (fermat_prediction, (2.9, 4.2)),
         (fermat_support, (2, 4.0)),
-        (worst_case_constant, (True, JordanTable.default())),
+        (worst_case_constant, (True, JordanTable())),
     ],
     ids=[
         "n_representable-(7.9, [2, 3])",
@@ -251,7 +251,7 @@ class TestRepresentability:
         "partitions_of-('4',)",
         "fermat_prediction-(2.9, 4.2)",
         "fermat_support-(2, 4.0)",
-        "worst_case_constant-(True, JordanTable.default())",
+        "worst_case_constant-(True, JordanTable())",
     ],
 )
 def test_primitives_reject_non_integers(call, args):

@@ -316,8 +316,29 @@ class TestPolynomialValidation:
             WeightedPolynomial(WeightSystem([1, 1]), 2, [(0, (1, 1))])
 
     def test_duplicate_exponents(self):
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="support rows must be distinct"):
             WeightedPolynomial(WeightSystem([1, 1]), 2, [(1, (1, 1)), (2, (1, 1))])
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ((1.5, (1, 1)), "coefficient 0 must be an integer, a Fraction or text 'p/q', got 1.5"),
+            ((True, (1, 1)), "coefficient 0 must be an integer, a Fraction or text 'p/q', got True"),
+            (("x", (1, 1)), "coefficient 0: 'x' is not an integer"),
+            ((1,), "term 0 must be a (coefficient, exponents) pair, got (1,)"),
+            ((1, 4), "monomial row 0 must be a sequence of exponents, got 4"),
+        ],
+    )
+    def test_malformed_terms_raise_validation_errors(self, term, message):
+        with pytest.raises(ValidationError) as info:
+            WeightedPolynomial(WeightSystem([1, 1]), 2, [term])
+        assert str(info.value) == message
+
+    def test_exact_coefficients_kept(self):
+        f = WeightedPolynomial(
+            WeightSystem([1, 1]), 2, [("-2/3", (2, 0)), (Fraction(1, 2), (1, 1)), (7, (0, 2))]
+        )
+        assert [c for c, _ in f.terms] == [Fraction(-2, 3), Fraction(1, 2), Fraction(7)]
 
     def test_coefficient_count_mismatch(self):
         fam = HypersurfaceFamily([1, 1], 2)

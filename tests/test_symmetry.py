@@ -555,7 +555,7 @@ class TestForcedCentralGroup:
         # The forced group injects into Lin(X) of every member, so its order
         # is at most the floor of the order bound wherever that is defined.
         fams = enumerate_families(constraints)
-        table = JordanTable.default()
+        table = JordanTable()
         finite = bounded = 0
         nontrivial = {}
         for fam in fams:

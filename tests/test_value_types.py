@@ -8,7 +8,14 @@ import inspect
 import pytest
 
 import wph
-from wph import HypersurfaceFamily, PolynomialSupport, WeightedPolynomial, WeightSystem
+from wph import (
+    HypersurfaceFamily,
+    JordanEntry,
+    JordanTable,
+    PolynomialSupport,
+    WeightedPolynomial,
+    WeightSystem,
+)
 
 KLEIN = HypersurfaceFamily([1, 1, 1], 4)
 KLEIN_ROWS = [[1, 3, 0], [0, 1, 3], [3, 0, 1]]
@@ -54,8 +61,13 @@ def test_equal_instances_find_each_other_in_sets():
 def test_exported_dataclasses_are_frozen():
     classes = [obj for _, obj in inspect.getmembers(wph, inspect.isclass)]
     value_types = [c for c in classes if dataclasses.is_dataclass(c)]
-    assert {WeightSystem, HypersurfaceFamily, PolynomialSupport, WeightedPolynomial} <= set(
-        value_types
-    )
+    assert {
+        WeightSystem,
+        HypersurfaceFamily,
+        PolynomialSupport,
+        WeightedPolynomial,
+        JordanTable,
+        JordanEntry,
+    } <= set(value_types)
     mutable = [c.__name__ for c in value_types if not c.__dataclass_params__.frozen]
     assert not mutable, mutable
