@@ -59,6 +59,12 @@ CASES = {
     "check_linear_cone_json": ["check", "--weights", "5,5,4,4", "--degree", "5", "--json"],
     "bound_infinite_json": ["bound", "--weights", "3,3,1,1", "--degree", "6", "--json"],
     "bound_no_table_entry_text": ["bound", "--weights", "1,1,1,1", "--degree", "5"],
+    # text mode: the curve bound with the Klein exception, an infinite family,
+    # an infinite forced group and an unavailable scalar quotient
+    "bound_klein_family_text": ["bound", "--weights", "1,1,1", "--degree", "4"],
+    "bound_infinite_text": ["bound", "--weights", "3,3,1,1", "--degree", "6"],
+    "check_linear_cone_text": ["check", "--weights", "5,5,4,4", "--degree", "5"],
+    "symmetry_common_factor_text": ["symmetry", "inputs/common_factor.json"],
     # a table file supplies the GL_3 entry; 7,1,1,1 gives proper fractions
     "check_jordan_table_text": [
         "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table", "inputs/jordan.txt",
@@ -118,6 +124,8 @@ CASES = {
     "error_missing_field": ["symmetry", "inputs/missing_degree.json"],
     "error_decimal_coefficient": ["symmetry", "inputs/decimal_coefficient.json"],
     "error_fermat_degree": ["fermat", "--dim", "1", "--degree", "2", "--json"],
+    "error_support_not_json": ["symmetry", "inputs/not_json.json"],
+    "error_support_top_level_list": ["symmetry", "inputs/top_level_list.json"],
     # exit 3: resource cap
     "error_candidate_cap": [
         "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", "300",
