@@ -35,7 +35,6 @@ from .errors import (
     MissingJordanEntryError,
     ValidationError,
 )
-from .intlinalg import partitions_of
 from .weights import HypersurfaceFamily, WeightSystem, _text_int, as_int, as_rational
 
 #: Effective constant for curves from the classification of large automorphism
@@ -105,11 +104,24 @@ class JordanTable:
     entries: Mapping[int, JordanEntry] | None = None
 
     def __post_init__(self):
+        if self.entries is not None and not isinstance(self.entries, Mapping):
+            raise ValidationError(
+                f"Jordan table entries must be a mapping from N to JordanEntry, "
+                f"got {self.entries!r}"
+            )
         merged = dict(_PINNED_ENTRIES)
         for n, entry in (self.entries or {}).items():
             n = as_int(n, "Jordan table key")
             if n < 1:
                 raise ValidationError(f"Jordan table key must be >= 1, got {n}")
+            if not isinstance(entry, JordanEntry):
+                raise ValidationError(
+                    f"Jordan table entry for N={n} must be a JordanEntry, got {entry!r}"
+                )
+            if not isinstance(entry.provenance, str):
+                raise ValidationError(
+                    f"provenance for N={n} must be text, got {entry.provenance!r}"
+                )
             value = as_rational(entry.value, f"Jordan constant for N={n}")
             if value < 1:
                 raise ValidationError(f"Jordan constant for N={n} must be >= 1")
@@ -201,20 +213,21 @@ def weak_jordan_of_aut(w: WeightSystem, table: JordanTable) -> Fraction:
 def worst_case_constant(n: int, table: JordanTable) -> Fraction:
     """Largest weak Jordan constant over all weight systems of a dimension.
 
-    Maximizes the multiplicity product over all partitions of n+2. Monotone
-    in every table entry.
+    Maximizes the multiplicity product over all partitions of n+2 without
+    listing them: ``best[k]`` is the largest product over partitions of k,
+    and taking one part p from a partition of k leaves a partition of k - p.
+    Some partition of n+2 has a part of every size up to n+2, so the smallest
+    such size the table lacks raises :class:`MissingJordanEntryError`.
+    Monotone in every table entry.
     """
     n = as_int(n, "dimension")
     if n < 0:
         raise ValidationError("dimension must be >= 0")
-    best = Fraction(0)
-    for partition in partitions_of(n + 2):
-        value = Fraction(1)
-        for part in partition:
-            value *= table.value(part)
-        if value > best:
-            best = value
-    return best
+    values = [table.value(p) for p in range(1, n + 3)]
+    best = [Fraction(1)]
+    for k in range(1, n + 3):
+        best.append(max(values[p - 1] * best[k - p] for p in range(1, k + 1)))
+    return best[-1]
 
 
 @dataclass(frozen=True)

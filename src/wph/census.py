@@ -96,6 +96,13 @@ class SearchConstraints:
             raise ValidationError("max_weight must be >= 1")
         if self.candidate_cap < 1:
             raise ValidationError("candidate_cap must be >= 1")
+        if self.canonical_kind is not None and not isinstance(self.canonical_kind, CanonicalKind):
+            raise ValidationError(
+                f"canonical_kind must be a CanonicalKind or None, got {self.canonical_kind!r}"
+            )
+        for name in ("require_well_formed", "require_quasismooth", "exclude_linear_cones"):
+            if type(getattr(self, name)) is not bool:
+                raise ValidationError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
     @property
     def variables(self) -> int:
@@ -283,8 +290,9 @@ def enumerate_families(c: SearchConstraints) -> list[HypersurfaceFamily]:
     """All families meeting the constraints, deduplicated up to permutation.
 
     Weights are canonical (non-increasing) in the output, which is sorted by
-    (degree, weights). Raises ResourceCapError if the raw candidate count
-    would exceed the configured cap.
+    (degree, weights). Raises ResourceCapError once the Calabi-Yau search
+    counts more steps than the cap, and before any other search starts when
+    its (weights, degree) pairs number more than the cap.
     """
     if c.canonical_kind is CanonicalKind.CALABI_YAU:
         found = _enumerate_calabi_yau(c)

@@ -44,9 +44,13 @@ class IntMatrix:
     def __post_init__(self):
         object.__setattr__(self, "rows", as_int(self.rows, "matrix rows"))
         object.__setattr__(self, "cols", as_int(self.cols, "matrix cols"))
-        object.__setattr__(
-            self, "entries", tuple(as_int(x, "matrix entry") for x in self.entries)
-        )
+        try:
+            entries = tuple(as_int(x, "matrix entry") for x in self.entries)
+        except TypeError as exc:
+            raise ValidationError(
+                f"matrix entries must be an iterable of integers, got {self.entries!r}"
+            ) from exc
+        object.__setattr__(self, "entries", entries)
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("matrix needs at least one row and one column")
         if len(self.entries) != self.rows * self.cols:
@@ -117,93 +121,56 @@ class SnfDecomposition:
 def _snf_worker(a: list[list[int]], nrows: int, ncols: int) -> None:
     """Diagonalize the leading ``nrows`` x ``ncols`` block of ``a`` in place.
 
-    Row operations act on whole rows among the first ``nrows``, and column
-    operations on whole columns among the first ``ncols``; the pivot search,
-    the residue search and the divisibility check read only the block. So
-    whatever a caller appends to the block records the transforms
-    (bordering): entries to the right of the first ``nrows`` rows undergo
-    exactly the row operations, and rows below the block, ``ncols`` entries
-    long, exactly the column operations. With nothing appended the worker
-    needs no memory beyond ``a``.
+    At each diagonal position t the smallest-absolute-value nonzero entry of
+    the remaining block, ties to the lowest (row, col), moves to (t, t) and is
+    made positive, and row t and column t are reduced by floor division. A
+    remainder, or a row with an entry the pivot does not divide (added to row
+    t; this yields the divisibility chain), sends the search round again. So
+    every pivot is the smallest entry of the remaining block: the output is
+    deterministic and intermediate entries stay small.
 
-    Pivots are always the smallest-absolute-value nonzero entry of the
-    remaining block, ties broken by lowest (row, col). That makes the output
-    deterministic and keeps intermediate entries small.
+    Row operations act on whole rows among the first ``nrows``, column
+    operations on whole columns among the first ``ncols``, and the searches
+    read only the block. So whatever a caller appends records the transforms
+    (bordering): entries right of the first ``nrows`` rows undergo exactly
+    the row operations, and rows below the block, ``ncols`` entries long,
+    exactly the column operations.
     """
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, k):
-        # row dst += k * row src
-        if k:
-            a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(dst, src, k):
-        # col dst += k * col src
-        if k:
-            for r in a:
-                r[dst] += k * r[src]
-
-    def find_pivot(t):
-        best = None
-        best_abs = None
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best_abs is None or ax < best_abs:
-                        best, best_abs = (i, j), ax
-        return best
-
     for t in range(min(nrows, ncols)):
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
         while True:
+            best = 0
+            for i in range(t, nrows):
+                row = a[i]
+                for j in range(t, ncols):
+                    x = row[j]
+                    if x:
+                        ax = -x if x < 0 else x
+                        if not best or ax < best:
+                            best, bi, bj = ax, i, j
+            if not best:
+                return
+            a[t], a[bi] = a[bi], a[t]
+            if bj != t:
+                for r in a:
+                    r[t], r[bj] = r[bj], r[t]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-            p = a[t][t]
+            top = a[t]
             for i in range(t + 1, nrows):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
+                k = a[i][t] // best
+                if k:
+                    a[i] = [x - k * y for x, y in zip(a[i], top)]
             for j in range(t + 1, ncols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-            # Any leftover residue is strictly smaller than the pivot; swap
-            # the smallest one in and repeat until row and column are clear.
-            res = None
-            res_abs = None
-            for i in range(t + 1, nrows):
-                x = a[i][t]
-                if x and (res_abs is None or abs(x) < res_abs):
-                    res, res_abs = (swap_rows, i), abs(x)
-            for j in range(t + 1, ncols):
-                x = a[t][j]
-                if x and (res_abs is None or abs(x) < res_abs):
-                    res, res_abs = (swap_cols, j), abs(x)
-            if res is not None:
-                swap, k = res
-                swap(t, k)
+                k = top[j] // best
+                if k:
+                    for r in a:
+                        r[j] -= k * r[t]
+            if any(top[t + 1 : ncols]) or any(a[i][t] for i in range(t + 1, nrows)):
                 continue
-            # Row/column clear. Enforce that the pivot divides the rest of
-            # the block before moving on; this is what yields the chain.
-            bad = next(
-                (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1 : ncols])),
-                None,
-            )
-            if bad is None:
+            bad = [i for i in range(t + 1, nrows) if any(x % best for x in a[i][t + 1 : ncols])]
+            if not bad:
                 break
-            add_row(t, bad, 1)
+            a[t] = [x + y for x, y in zip(top, a[bad[0]])]
 
 
 def _bordered(rows: list[list[int]]) -> list[list[int]]:

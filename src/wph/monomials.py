@@ -179,6 +179,10 @@ class PolynomialSupport:
     _witnesses: list | None = field(init=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.family, HypersurfaceFamily):
+            raise ValidationError(
+                f"support family must be a HypersurfaceFamily, got {self.family!r}"
+            )
         weights = self.family.weights.original
         vecs = _plain_rows(self.rows, weights, self.family.degree)
         if vecs is None:
@@ -296,7 +300,8 @@ class WeightedPolynomial:
     live in the same type. Terms with mismatched degree are a hard error,
     never silently dropped. ``terms`` is given as (coefficient, exponents)
     pairs and stored as a tuple of (Fraction, exponent vector) pairs;
-    coefficients follow :func:`~wph.weights.as_rational`.
+    coefficients follow :func:`~wph.weights.as_rational`. ``weights`` may be
+    any iterable of integers, which is wrapped in a :class:`WeightSystem`.
     """
 
     weights: WeightSystem
@@ -307,6 +312,8 @@ class WeightedPolynomial:
         degree = as_int(self.degree, "degree")
         if degree < 0:
             raise ValidationError("polynomial degree must be nonnegative")
+        if not isinstance(self.weights, WeightSystem):
+            object.__setattr__(self, "weights", WeightSystem(self.weights))
         coeffs, rows = [], []
         for idx, term in enumerate(self.terms):
             try:

@@ -39,16 +39,12 @@ MAX_SUBSET_VARIABLES = 24
 
 @dataclass(frozen=True)
 class SubsetDiagnostic:
-    """Why one index subset failed (or passed) the criterion."""
+    """Why one index subset failed the criterion."""
 
     subset: tuple[int, ...]
     degree_representable: bool
     outside_witnesses: tuple[int, ...]
     required: int
-
-    @property
-    def passed(self) -> bool:
-        return self.degree_representable or len(self.outside_witnesses) >= self.required
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ code it checks: recursive cofactor determinants against Bareiss elimination,
 recursive enumeration against an odometer, power-series convolution against
 enumeration, list-based dynamic programming against bitmask closure,
 root-of-unity counting against Smith normal forms, a divisor-table census
-against the arithmetic lead loop, and a rewrite of the scalar vector in the
+against the arithmetic lead loop, a walk over every partition against the
+dynamic program for the worst-case Jordan constant, and a rewrite of the
+scalar vector in the
 Smith basis of the whole graded piece against the dual quotient Lambda / L.
 That Smith basis comes from the library's elimination with the piece
 bordered below by an identity, which records the column transform V and no
@@ -32,6 +34,7 @@ from wph import (
     WeightedPolynomial,
     WeightSystem,
     enumerate_monomials,
+    partitions_of,
     is_linear_cone,
     is_well_formed,
     quasismooth_exists,
@@ -63,6 +66,17 @@ def cofactor_determinant(rows) -> int:
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * cofactor_determinant(minor)
     return total
+
+
+def partition_walk_constant(n: int, table) -> Fraction:
+    """Largest multiplicity product over the partitions of n+2, one by one."""
+    best = Fraction(0)
+    for partition in partitions_of(n + 2):
+        value = Fraction(1)
+        for part in partition:
+            value *= table.value(part)
+        best = max(best, value)
+    return best
 
 
 def descending_monomials(weights, degree: int) -> list[tuple[int, ...]]:

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -23,6 +25,8 @@ from wph import (
     weak_jordan_of_aut,
     worst_case_constant,
 )
+
+from conftest import partition_walk_constant
 
 
 def table_with(entries):
@@ -207,6 +211,37 @@ class TestWorstCase:
         low = table_with({3: 20, 4: 50})
         high = table_with({3: 21, 4: 50})
         assert worst_case_constant(2, low) <= worst_case_constant(2, high)
+
+    def test_matches_partition_walk(self):
+        rng = random.Random(14)
+        raised = 0
+        for _ in range(200):
+            n = rng.randint(0, 14)
+            entries = {
+                k: Fraction(rng.randint(1, 10**6), rng.randint(1, 50))
+                for k in range(3, n + 3)
+                if rng.random() < 0.95
+            }
+            entries = {k: max(v, 1) for k, v in entries.items()}
+            t = table_with(entries)
+            missing = [k for k in range(3, n + 3) if k not in entries]
+            if missing:
+                raised += 1
+                with pytest.raises(MissingJordanEntryError):
+                    partition_walk_constant(n, t)
+                with pytest.raises(MissingJordanEntryError) as info:
+                    worst_case_constant(n, t)
+                assert info.value.n == missing[0]
+            else:
+                assert worst_case_constant(n, t) == partition_walk_constant(n, t)
+        assert 20 <= raised <= 180
+
+    def test_full_table_at_dimension_68_is_fast(self):
+        t = table_with({k: factorial(k + 1) for k in range(3, 71)})
+        start = time.perf_counter()
+        value = worst_case_constant(68, t)
+        assert time.perf_counter() - start < 1.0
+        assert value == factorial(71)
 
     def test_curve_constant_exposed_separately(self):
         assert CURVE_EFFECTIVE_CONSTANT == Fraction(21, 2)

@@ -1,3 +1,5 @@
+import linecache
+import traceback
 from itertools import combinations_with_replacement
 
 import pytest
@@ -302,6 +304,29 @@ class TestGenericSearch:
         # strictly more than the quasismooth census on the same range
         assert len(got) > len(census(1, max_degree=20))
 
+    def test_linear_cones_dropped_by_default(self):
+        def brute_force(exclude_linear_cones):
+            out = []
+            for ws in combinations_with_replacement(range(1, 5), 3):
+                for d in range(1, 9):
+                    fam = HypersurfaceFamily(tuple(reversed(ws)), d)
+                    if exclude_linear_cones and is_linear_cone(fam):
+                        continue
+                    if is_well_formed(fam.weights) and quasismooth_exists(fam).exists:
+                        out.append((d, fam.weights.canonical))
+            return sorted(out)
+
+        fields = dict(dimension=1, canonical_kind=None, max_degree=8, max_weight=4)
+        default = as_pairs(enumerate_families(SearchConstraints(**fields)))
+        kept = as_pairs(
+            enumerate_families(SearchConstraints(**fields, exclude_linear_cones=False))
+        )
+        assert default == brute_force(True)
+        assert kept == brute_force(False)
+        dropped = set(kept) - set(default)
+        assert dropped and set(default) <= set(kept)
+        assert all(d in ws for d, ws in dropped)
+
     def test_filters_can_be_disabled(self):
         constraints = SearchConstraints(
             dimension=0,
@@ -342,6 +367,20 @@ class TestResourceCap:
         with pytest.raises(ResourceCapError):
             census(2, max_degree=40, candidate_cap=1019)
 
+    def test_cy_cap_threshold_at_the_leads(self):
+        # The elliptic census to 30 takes 172 steps: 14 prefixes, 75
+        # smaller-weight tuples and 83 leads. Its last step counted is a lead,
+        # so one below the threshold passes every prefix and tuple check and
+        # fails at the leads.
+        assert len(census(1, max_degree=30, candidate_cap=172)) == 3
+        with pytest.raises(ResourceCapError) as info:
+            census(1, max_degree=30, candidate_cap=171)
+        frame = [
+            f for f in traceback.extract_tb(info.value.__traceback__)
+            if f.name == "_enumerate_calabi_yau"
+        ][-1]
+        assert linecache.getline(frame.filename, frame.lineno - 2).strip() == "seen += len(leads)"
+
     def test_generic_cap(self):
         constraints = SearchConstraints(
             dimension=2,
@@ -378,6 +417,19 @@ class TestResourceCap:
         fields[field] = value
         with pytest.raises(ValidationError, match=field):
             SearchConstraints(**fields)
+
+    @pytest.mark.parametrize("value", ["cy", "calabi_yau", 0, CanonicalKind])
+    def test_canonical_kind_must_be_an_enum_member(self, value):
+        with pytest.raises(ValidationError, match="canonical_kind"):
+            SearchConstraints(dimension=1, canonical_kind=value, max_degree=30)
+
+    @pytest.mark.parametrize(
+        "field", ["require_well_formed", "require_quasismooth", "exclude_linear_cones"]
+    )
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_flags_must_be_bools(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SearchConstraints(dimension=1, max_degree=30, **{field: value})
 
     def test_integer_fields_are_plain_ints(self):
         c = SearchConstraints(

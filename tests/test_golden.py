@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -170,6 +171,22 @@ def test_golden(name, in_golden):
 def test_corpus_has_no_stray_files():
     recorded = {p.stem for p in GOLDEN.glob("*.out")} | {p.stem for p in GOLDEN.glob("*.err")}
     assert recorded <= set(CASES)
+
+
+def test_module_entry_point():
+    """``python -m wph.cli`` runs ``main`` and exits with its code."""
+    import wph
+
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("WPH_JORDAN_TABLE", None)
+    src = str(Path(wph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "wph.cli", *CASES["fermat_curve_text"]],
+        cwd=GOLDEN, env=env, capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "fermat_curve_text.out").read_bytes()
 
 
 def record() -> None:

@@ -71,3 +71,28 @@ def test_exported_dataclasses_are_frozen():
     } <= set(value_types)
     mutable = [c.__name__ for c in value_types if not c.__dataclass_params__.frozen]
     assert not mutable, mutable
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: JordanTable({3: 360}), "entry for N=3"),
+        (lambda: JordanTable({3: JordanEntry(360, None)}), "provenance for N=3"),
+        (lambda: JordanTable([(3, JordanEntry(360, "fixture"))]), "entries"),
+        (lambda: PolynomialSupport([1, 1, 1], KLEIN_ROWS), "family"),
+        (lambda: wph.IntMatrix(2, 2, 5), "matrix entries"),
+    ],
+    ids=["table-value", "table-provenance", "table-list", "support-family", "matrix-entries"],
+)
+def test_wrong_container_types_raise_validation_error(build, field):
+    with pytest.raises(wph.ValidationError, match=field):
+        build()
+
+
+def test_polynomial_wraps_plain_weights():
+    terms = [(1, (2, 0)), (3, (1, 1))]
+    f = WeightedPolynomial([1, 1], 2, terms)
+    assert f.weights == WeightSystem([1, 1])
+    assert f.terms == WeightedPolynomial(WeightSystem([1, 1]), 2, terms).terms
+    with pytest.raises(wph.ValidationError, match="weight"):
+        WeightedPolynomial([1, 0], 2, terms)
