@@ -127,6 +127,10 @@ CASES = {
     "error_fermat_degree": ["fermat", "--dim", "1", "--degree", "2", "--json"],
     "error_support_not_json": ["symmetry", "inputs/not_json.json"],
     "error_support_top_level_list": ["symmetry", "inputs/top_level_list.json"],
+    "error_support_file_missing": ["symmetry", "missing.json"],
+    "error_jordan_table_missing": [
+        "check", "--weights", "3,1,1", "--degree", "6", "--jordan-table", "missing.txt",
+    ],
     # exit 3: resource cap
     "error_candidate_cap": [
         "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", "300",
