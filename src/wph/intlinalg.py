@@ -253,7 +253,12 @@ def loop_matrix(diagonal: Sequence[int]) -> IntMatrix:
     ``prod(diagonal) + (-1)**(m+1)``.
     """
     # Checked here, not only by IntMatrix: one row adds 1 to its entry first.
-    bs = [as_int(b, "matrix entry") for b in diagonal]
+    try:
+        bs = [as_int(b, "matrix entry") for b in diagonal]
+    except TypeError as exc:
+        raise ValidationError(
+            f"loop matrix diagonal must be an iterable of integers, got {diagonal!r}"
+        ) from exc
     if not bs:
         raise ValidationError("loop matrix needs at least one diagonal entry")
     m = len(bs)

@@ -315,7 +315,13 @@ class WeightedPolynomial:
         if not isinstance(self.weights, WeightSystem):
             object.__setattr__(self, "weights", WeightSystem(self.weights))
         coeffs, rows = [], []
-        for idx, term in enumerate(self.terms):
+        try:
+            indexed = enumerate(self.terms)
+        except TypeError as exc:
+            raise ValidationError(
+                f"terms must be an iterable of (coefficient, exponents) pairs, got {self.terms!r}"
+            ) from exc
+        for idx, term in indexed:
             try:
                 coeff, exps = term
             except (TypeError, ValueError) as exc:

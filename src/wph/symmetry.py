@@ -104,36 +104,24 @@ class DistinguishedMinor:
     determinant: int
 
 
-def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with g = s*a + t*b and g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _row_lattice_basis(
     rows: Iterable[Sequence[int]], ncols: int, index: int
 ) -> list[list[int]]:
     """At most ``ncols`` rows generating the same row lattice as ``rows``.
 
-    Incremental integer echelon: each incoming row is folded into the pivot
-    rows with unimodular 2x2 combinations, so the generated lattice never
+    Incremental integer echelon: each incoming row v is folded into the pivot
+    rows by Euclidean row steps. At its leading column p with pivot row b,
+    v becomes v - (v[p] // b[p]) * b; a nonzero remainder v[p] is smaller
+    than b[p], so v takes over as the pivot of column p and b is folded on in
+    its place. Each step is unimodular, so the generated lattice never
     changes and the working set stays small even for huge supports.
 
     ``index`` is the index in Z^ncols of a lattice known to contain every
     row (0 if none is known). Once the pivots are full rank and the absolute
     product of their diagonal equals it, the partial lattice is that whole
-    lattice, every remaining row lies in it and would reduce to zero through
-    exact quotients alone, so the loop stops with the basis it would return
-    after the last row, and pulls no further row from ``rows``.
+    lattice, every remaining row lies in it and would reduce to zero without
+    changing a pivot, so the loop stops with the basis it would return after
+    the last row, and pulls no further row from ``rows``.
     """
     pivots: dict[int, list[int]] = {}
     for row in rows:
@@ -148,16 +136,10 @@ def _row_lattice_basis(
                 pivots[p] = v
                 changed = True
                 break
-            bp, vp = b[p], v[p]
-            if vp % bp == 0:
-                q = vp // bp
-                v = [x - q * y for x, y in zip(v, b)]
-            else:
-                g, s, t = _exgcd(bp, vp)
-                u1, u2 = bp // g, vp // g
-                combined = [s * y + t * x for x, y in zip(v, b)]
-                v = [u1 * x - u2 * y for x, y in zip(v, b)]
-                b[:] = combined
+            q = v[p] // b[p]
+            v = [x - q * y for x, y in zip(v, b)]
+            if v[p]:
+                pivots[p], v = v, b
                 changed = True
         if changed and len(pivots) == ncols:
             det = 1
@@ -168,35 +150,22 @@ def _row_lattice_basis(
     return [pivots[p] for p in sorted(pivots)]
 
 
-def _support_snf(
-    rows: Iterable[Sequence[int]], weights: Sequence[int], degree: int
-) -> tuple[int, ...]:
-    """Invariant factors of the exponent matrix, from a basis of its row lattice.
-
-    Every row must have weighted degree ``degree``; the compression relies on
-    it to stop early (see :func:`_row_lattice_basis`). Invariant factors are
-    lattice invariants, so they are those of the uncompressed matrix. Only
-    zero rows (degree 0) leave an empty basis, which has no factors.
-    """
-    basis = _row_lattice_basis(rows, len(weights), degree // gcd(degree, *weights))
-    return invariant_factors(basis) if basis else ()
-
-
 def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
     """Group of diagonal automorphisms fixing every monomial of the support.
 
-    Computed from the invariant factors of the exponent matrix. An infinite
-    group (rank-deficient exponent matrix) is a first-class result with
-    ``finite`` False and the positive ``free_rank`` recorded. The rows with
-    at most two nonzero exponents go into the compression first: pure powers
-    and x_i^k * x_j often span the degree lattice on their own, and then no
-    other row is read.
+    Computed from the invariant factors of the exponent matrix, which are
+    those of a basis of its row lattice. An infinite group (rank-deficient
+    exponent matrix) is a first-class result with ``finite`` False and the
+    positive ``free_rank`` recorded. The rows with at most two nonzero
+    exponents go into the compression first: pure powers and x_i^k * x_j
+    often span the degree lattice on their own, and then no other row is
+    read.
     """
-    weights = p.family.weights.original
+    weights, d = p.family.weights.original, p.family.degree
     rows = chain(witness_shaped(p.rows, len(weights)), p.rows)
-    factors = _support_snf(rows, weights, p.family.degree)
+    basis = _row_lattice_basis(rows, len(weights), d // gcd(d, *weights))
     return AbelianGroupStructure.from_factors(
-        factors, free_rank=len(weights) - len(factors)
+        invariant_factors(basis), free_rank=len(weights) - len(basis)
     )
 
 
@@ -297,7 +266,7 @@ def _forced_central_group(
     basis = _row_lattice_basis(rows, len(weights), d // gcd(d, *weights))
     free_rank = len(weights) - len(basis)
     if free_rank:
-        return AbelianGroupStructure((), None, False, free_rank)
+        return AbelianGroupStructure.from_factors((), free_rank)
     # The group is dual to Lambda / L; see the module docstring.
     for b in basis:
         b.append(sum(map(mul, b, weights)) // d)

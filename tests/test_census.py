@@ -351,6 +351,14 @@ class TestPostHocVerification:
             assert canonical_class(fam).kind is CanonicalKind.CALABI_YAU
             assert fam.weights.original == fam.weights.canonical
 
+    def test_filters_recheck_kind_and_well_formedness(self):
+        # Neither family is a linear cone, so each stops at its own check.
+        general_type = HypersurfaceFamily([1, 1, 1], 5)
+        not_well_formed = HypersurfaceFamily([2, 2, 2, 1], 7)
+        assert canonical_class(not_well_formed).kind is CanonicalKind.CALABI_YAU
+        assert not wph.census._passes_filters(general_type, cy_constraints(1, 20))
+        assert not wph.census._passes_filters(not_well_formed, cy_constraints(2, 20))
+
 
 class TestResourceCap:
     def test_cy_cap(self):

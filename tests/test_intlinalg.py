@@ -9,10 +9,13 @@ from hypothesis import given, strategies as st
 from wph import (
     DimensionError,
     IntMatrix,
+    JordanEntry,
     JordanTable,
     ResourceCapError,
+    SearchConstraints,
     ValidationError,
     WeightSystem,
+    WeightedPolynomial,
     enumerate_monomials,
     fermat_prediction,
     fermat_support,
@@ -25,6 +28,7 @@ from wph import (
     worst_case_constant,
 )
 from wph.intlinalg import invariant_factors
+from wph.monomials import iter_monomials
 
 from conftest import cofactor_determinant, coin_representable, series_dimensions
 
@@ -257,6 +261,34 @@ class TestRepresentability:
 def test_primitives_reject_non_integers(call, args):
     with pytest.raises(ValidationError, match="must be an integer"):
         call(*args)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SearchConstraints(dimension=1, max_weight=0), "max_weight must be >= 1"),
+        (lambda: SearchConstraints(dimension=1, candidate_cap=0), "candidate_cap must be >= 1"),
+        (lambda: JordanTable({0: JordanEntry(360, "fixture")}), "key must be >= 1"),
+        (lambda: worst_case_constant(-1, JordanTable()), "dimension must be >= 0"),
+        (lambda: IntMatrix.from_rows([]), "at least one row"),
+        (lambda: representable_mask(-1, [2]), "limit must be nonnegative"),
+        (lambda: iter_monomials(WeightSystem([1, 1]), -1), "degree must be nonnegative"),
+        (
+            lambda: WeightedPolynomial([1, 1], -1, [(1, (1, 1))]),
+            "polynomial degree must be nonnegative",
+        ),
+        (lambda: fermat_support(0, 3), "Fermat support needs n >= 1"),
+        (lambda: WeightSystem(5), "weights must be an iterable of integers"),
+    ],
+    ids=[
+        "max_weight-0", "candidate_cap-0", "table-key-0", "worst_case-dim-minus-1",
+        "from_rows-empty", "mask-limit-minus-1", "iter_monomials-degree-minus-1",
+        "polynomial-degree-minus-1", "fermat_support-dim-0", "weights-int",
+    ],
+)
+def test_out_of_range_arguments_rejected(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 import wph.symmetry
 from wph import (
+    AbelianGroupStructure,
     HypersurfaceFamily,
     IntMatrix,
     InvariantViolationError,
@@ -30,12 +31,9 @@ from wph import (
     lin_order_bound,
     smith_normal_form,
 )
+from wph.intlinalg import invariant_factors
 from wph.monomials import witness_rows
-from wph.symmetry import (
-    MinorChoice,
-    _row_lattice_basis,
-    _support_snf,
-)
+from wph.symmetry import MinorChoice, _order_modulo_scalars, _row_lattice_basis
 
 from conftest import (
     _quotient_by_scalar,
@@ -122,10 +120,6 @@ class TestFixingGroup:
         for f in direct.invariant_factors:
             prod *= f
         assert group.finite and group.order == prod
-
-    def test_zero_row_at_degree_zero(self):
-        # The compression leaves no pivot, and an empty basis has no factors.
-        assert _support_snf([(0, 0, 0)], (1, 2, 3), 0) == ()
 
 
 def _lattice_oracle_check(support):
@@ -227,6 +221,33 @@ class TestLatticeExit:
             assert not _lattice_oracle_check(PolynomialSupport(fam, kept))
             checked += 1
 
+    def test_signed_rows(self):
+        # The Euclidean fold floors quotients of signed entries: random
+        # matrices with negative entries, against the Smith form of the whole
+        # matrix, and the exit against the shortest prefix that spans.
+        rng = random.Random(1515)
+        exits = 0
+        for k in range(300):
+            m = rng.randint(1, 5)
+            hi = (3, 30, 1000)[k % 3]
+            rows = [[rng.randint(-hi, hi) for _ in range(m)] for _ in range(rng.randint(1, 12))]
+            basis = _row_lattice_basis(rows, m, 0)
+            direct = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
+            assert (invariant_factors(basis) if basis else ()) == direct
+            if len(direct) < m:
+                continue
+            # A prefix spans the whole lattice iff it has the same factors.
+            needed = next(
+                i
+                for i in range(m, len(rows) + 1)
+                if smith_normal_form(IntMatrix.from_rows(rows[:i])).invariant_factors == direct
+            )
+            pending = _CountingRows(rows)
+            _row_lattice_basis(pending, m, prod(direct))
+            assert pending.pulled == needed
+            exits += needed < len(rows)
+        assert exits > 50
+
 
 class _CountingRows:
     """Iterator over ``rows`` that counts the rows pulled from it."""
@@ -298,6 +319,11 @@ class TestLinDiagonalOrder:
         support = PolynomialSupport(HypersurfaceFamily([2, 2], 4), [[1, 1]])
         with pytest.raises(ValidationError, match="factor"):
             lin_diagonal_order(support)
+
+    def test_order_not_divisible_by_degree(self):
+        group = AbelianGroupStructure.from_factors((3,), free_rank=0)
+        with pytest.raises(InvariantViolationError, match="not divisible by degree 2"):
+            _order_modulo_scalars(group, 2)
 
     def test_scalar_always_in_fixing_group(self):
         # row . weights == d for every row, so order is divisible by d and
@@ -373,6 +399,12 @@ class TestDistinguishedMinor:
         with pytest.raises(MissingWitnessError) as err:
             distinguished_minor(support)
         assert err.value.variable in (1, 2)
+
+    def test_window_guard_rejects_a_zero_determinant(self, monkeypatch):
+        assert lin_finiteness(klein_support().family).finite
+        monkeypatch.setattr(wph.symmetry, "integer_determinant", lambda B: 0)
+        with pytest.raises(InvariantViolationError, match="minor determinant 0 outside"):
+            distinguished_minor(klein_support())
 
     def test_bound_on_random_finite_supports(self):
         rng = random.Random(8080)

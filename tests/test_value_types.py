@@ -81,8 +81,13 @@ def test_exported_dataclasses_are_frozen():
         (lambda: JordanTable([(3, JordanEntry(360, "fixture"))]), "entries"),
         (lambda: PolynomialSupport([1, 1, 1], KLEIN_ROWS), "family"),
         (lambda: wph.IntMatrix(2, 2, 5), "matrix entries"),
+        (lambda: WeightedPolynomial([1, 1], 2, 5), "terms"),
+        (lambda: wph.loop_matrix(5), "loop matrix diagonal"),
     ],
-    ids=["table-value", "table-provenance", "table-list", "support-family", "matrix-entries"],
+    ids=[
+        "table-value", "table-provenance", "table-list", "support-family", "matrix-entries",
+        "polynomial-terms", "loop-diagonal",
+    ],
 )
 def test_wrong_container_types_raise_validation_error(build, field):
     with pytest.raises(wph.ValidationError, match=field):
