@@ -7,6 +7,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -145,26 +146,6 @@ def _write_json(value, write, indent: str = "") -> None:
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
 
-def _emit(payload, args, renderer) -> None:
-    if args.json:
-        # The bytes of json.dump(payload, stdout, indent=2, sort_keys=True),
-        # without its element-by-element Python encoder (see _write_json).
-        # Written piece by piece, so a large support echo is never one string.
-        _write_json(payload, sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        renderer(payload)
-
-
-def _group_payload(group) -> dict:
-    return {
-        "finite": group.finite,
-        "order": group.order,
-        "invariant_factors": list(group.invariant_factors),
-        "free_rank": group.free_rank,
-    }
-
-
 def _finiteness_payload(fin) -> dict:
     return {
         "finite": fin.finite,
@@ -205,24 +186,13 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
         "dimension": fam.n,
         "well_formed": {
             "holds": not wf_failures,
-            "failures": [
-                {"omitted_index": f.omitted_index, "shared_factor": f.shared_factor}
-                for f in wf_failures
-            ],
+            "failures": [asdict(f) for f in wf_failures],
         },
         "linear_cone": qs.is_linear_cone,
         "quasismooth": {
             "exists": qs.exists,
             "via_linear_cone": qs.is_linear_cone,
-            "failing_subsets": [
-                {
-                    "subset": list(s.subset),
-                    "degree_representable": s.degree_representable,
-                    "outside_witnesses": list(s.outside_witnesses),
-                    "required": s.required,
-                }
-                for s in qs.failing_subsets
-            ],
+            "failing_subsets": [asdict(s) for s in qs.failing_subsets],
         },
         "canonical_class": {"r": cclass.r, "kind": cclass.kind.value},
         "aut_equals_lin": {
@@ -239,10 +209,10 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
 
     if qs.exists:
         try:
-            forced = _forced_central_group(fam)
-            payload = _group_payload(forced)
-            payload["note"] = "lower bound for the generic linear automorphism group"
-            report["forced_central_group"] = payload
+            report["forced_central_group"] = {
+                **asdict(_forced_central_group(fam)),
+                "note": "lower bound for the generic linear automorphism group",
+            }
         except ResourceCapError as exc:
             report["forced_central_group"] = {"unavailable": str(exc)}
     else:
@@ -250,6 +220,31 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
             "unavailable": "family has no quasismooth member"
         }
     return report
+
+
+def _print_unavailable(label: str, payload: dict) -> bool:
+    """Print ``label: unavailable (reason)`` for an unavailable payload; True if printed."""
+    if "unavailable" in payload:
+        print(f"{label}: unavailable ({payload['unavailable']})")
+        return True
+    return False
+
+
+def _print_finiteness(fin: dict) -> None:
+    print(f"Lin(X) finite: {'yes' if fin['finite'] else 'no'}  [{fin['condition']}]")
+
+
+def _print_order_bound(label: str, ob: dict) -> None:
+    if not _print_unavailable(label, ob):
+        print(
+            f"{label}: {ob['exact']} (floor {ob['floor']}, "
+            f"weak Jordan factor {ob['weak_jordan']})"
+        )
+
+
+def _group_text(group: dict) -> str:
+    factors = ", ".join(str(f) for f in group["invariant_factors"])
+    return f"order {group['order']}, invariant factors ({factors})"
 
 
 def _render_check(report: dict) -> None:
@@ -275,47 +270,30 @@ def _render_check(report: dict) -> None:
         print("quasismooth member exists: no")
         for s in qs["failing_subsets"]:
             print(
-                f"  failing subset {s['subset']}: degree representable: "
+                f"  failing subset {list(s['subset'])}: degree representable: "
                 f"{s['degree_representable']}, outside witnesses "
-                f"{s['outside_witnesses']} (need {s['required']})"
+                f"{list(s['outside_witnesses'])} (need {s['required']})"
             )
     cc = report["canonical_class"]
     print(f"canonical class: r = {cc['r']} ({cc['kind']})")
     lin = report["aut_equals_lin"]
     print(f"linearity: {lin['verdict']}  [{lin['condition']}]")
-    fin = report["finiteness"]
-    print(f"Lin(X) finite: {'yes' if fin['finite'] else 'no'}  [{fin['condition']}]")
-    ob = report["order_bound"]
-    if "unavailable" in ob:
-        print(f"order bound: unavailable ({ob['unavailable']})")
-    else:
-        print(
-            f"order bound: {ob['exact']} (floor {ob['floor']}, "
-            f"weak Jordan factor {ob['weak_jordan']})"
-        )
+    _print_finiteness(report["finiteness"])
+    _print_order_bound("order bound", report["order_bound"])
     gen = report["genericity"]
     print(f"genericity condition (d >= 5*max): {'yes' if gen['holds'] else 'no'}")
     fc = report["forced_central_group"]
-    if "unavailable" in fc:
-        print(f"forced central subgroup: unavailable ({fc['unavailable']})")
-    elif not fc["finite"]:
-        print(
-            f"forced central subgroup: infinite (free rank {fc['free_rank']})"
-        )
+    if _print_unavailable("forced central subgroup", fc):
+        return
+    if fc["finite"]:
+        print(f"forced central subgroup: {_group_text(fc)}  [lower bound for generic Lin(X)]")
     else:
-        print(
-            f"forced central subgroup: order {fc['order']}, invariant factors "
-            f"({', '.join(str(f) for f in fc['invariant_factors'])})  "
-            f"[lower bound for generic Lin(X)]"
-        )
+        print(f"forced central subgroup: infinite (free rank {fc['free_rank']})")
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     fam = HypersurfaceFamily(_parse_weights(args.weights), args.degree)
-    table = _load_table(args)
-    report = build_check_report(fam, table)
-    _emit(report, args, _render_check)
-    return 0
+    return build_check_report(fam, _load_table(args)), _render_check
 
 
 def load_support_file(path: str | Path):
@@ -352,7 +330,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
             "degree": fam.degree,
             "monomials": support.rows,
         },
-        "fixing_group": _group_payload(group),
+        "fixing_group": asdict(group),
     }
     weights_gcd = fam.weights.gcd
     if weights_gcd != 1:
@@ -377,14 +355,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
         cap = Fraction(numerator, fam.weight_product)
         report["distinguished_minor"] = {
             "rows": [list(minor.B.row(i)) for i in range(minor.B.rows)],
-            "witnesses": [
-                {
-                    "variable": ch.variable,
-                    "exponent": ch.exponent,
-                    "companion": ch.companion,
-                }
-                for ch in minor.chosen_rows
-            ],
+            "witnesses": [ch._asdict() for ch in minor.chosen_rows],
             "determinant": minor.determinant,
             "bound": str(cap),
             "bound_holds": 0 < minor.determinant <= cap,
@@ -407,19 +378,13 @@ def _render_symmetry(report: dict) -> None:
     )
     g = report["fixing_group"]
     if g["finite"]:
-        print(
-            f"fixing group: order {g['order']}, invariant factors "
-            f"({', '.join(str(f) for f in g['invariant_factors'])})"
-        )
+        print(f"fixing group: {_group_text(g)}")
     else:
         print(f"fixing group: infinite diagonal symmetry, free rank {g['free_rank']}")
     ld = report["lin_diagonal"]
-    if "unavailable" in ld:
-        print(f"diagonal symmetry modulo scalars: unavailable ({ld['unavailable']})")
-    elif not ld["finite"]:
-        print("diagonal symmetry modulo scalars: infinite")
-    else:
-        print(f"diagonal symmetry modulo scalars: order {ld['order']}")
+    if not _print_unavailable("diagonal symmetry modulo scalars", ld):
+        order = f"order {ld['order']}" if ld["finite"] else "infinite"
+        print(f"diagonal symmetry modulo scalars: {order}")
     ex = report["monomial_existence"]
     if ex["passed"]:
         print("per-variable monomial existence: pass")
@@ -429,9 +394,7 @@ def _render_symmetry(report: dict) -> None:
             f"{ex['failing_variables']}"
         )
     minor = report["distinguished_minor"]
-    if "unavailable" in minor:
-        print(f"distinguished minor: unavailable ({minor['unavailable']})")
-    else:
+    if not _print_unavailable("distinguished minor", minor):
         print(f"distinguished minor rows: {minor['rows']}")
         print(
             f"det(B) = {minor['determinant']} <= {minor['bound']}: "
@@ -441,11 +404,8 @@ def _render_symmetry(report: dict) -> None:
         print(f"euler identity self-test: {'pass' if report['euler_identity'] else 'FAIL'}")
 
 
-def cmd_symmetry(args) -> int:
-    support, poly = load_support_file(args.support_file)
-    report = build_symmetry_report(support, poly)
-    _emit(report, args, _render_symmetry)
-    return 0
+def cmd_symmetry(args):
+    return build_symmetry_report(*load_support_file(args.support_file)), _render_symmetry
 
 
 _KIND_FLAGS = {
@@ -455,7 +415,7 @@ _KIND_FLAGS = {
 }
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     kind = _KIND_FLAGS[args.canonical] if args.canonical else None
     constraints = SearchConstraints(
         dimension=args.dim,
@@ -476,11 +436,10 @@ def cmd_enumerate(args) -> int:
         for f in p:
             print(f"{f['degree']} : {','.join(str(a) for a in f['weights'])}")
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def cmd_fermat(args) -> int:
+def cmd_fermat(args):
     prediction = fermat_prediction(args.dim, args.degree)
     support = fermat_support(args.dim, args.degree)
     diag = lin_diagonal_order(support)
@@ -507,11 +466,10 @@ def cmd_fermat(args) -> int:
             f"({'cross-check pass' if cc['matches'] else 'MISMATCH'})"
         )
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     fam = HypersurfaceFamily(_parse_weights(args.weights), args.degree)
     table = _load_table(args)
     fin = lin_finiteness(fam)
@@ -537,31 +495,17 @@ def cmd_bound(args) -> int:
             payload["curve_bound"] = {
                 "exact": str(cb.bound),
                 "floor": cb.bound.__floor__(),
-                "exceptions": [
-                    {"name": e.name, "group": e.group, "order": e.order}
-                    for e in cb.exceptions
-                ],
+                "exceptions": [asdict(e) for e in cb.exceptions],
             }
 
     def render(p):
         inp = p["input"]
         ws = ",".join(str(a) for a in inp["weights"])
         print(f"family: degree {inp['degree']} in P({ws})")
-        fin_p = p["finiteness"]
-        print(
-            f"Lin(X) finite: {'yes' if fin_p['finite'] else 'no'}  "
-            f"[{fin_p['condition']}]"
-        )
-        if not fin_p["finite"]:
+        _print_finiteness(p["finiteness"])
+        if not p["finiteness"]["finite"]:
             return
-        ob = p["order_bound"]
-        if "unavailable" in ob:
-            print(f"Jordan-route bound: unavailable ({ob['unavailable']})")
-        else:
-            print(
-                f"Jordan-route bound: {ob['exact']} (floor {ob['floor']}, "
-                f"weak Jordan factor {ob['weak_jordan']})"
-            )
+        _print_order_bound("Jordan-route bound", p["order_bound"])
         hb = p["factorial_hypothesis_bound"]
         print(f"factorial-hypothesis bound: {hb['exact']} (floor {hb['floor']})")
         print(f"  note: {hb['note']}")
@@ -574,8 +518,7 @@ def cmd_bound(args) -> int:
                     f"{e['order']}"
                 )
 
-    _emit(payload, args, render)
-    return 0
+    return payload, render
 
 
 def _int_arg(text: str) -> int:
@@ -672,7 +615,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # Each subcommand returns its payload and the renderer of its text form.
+        payload, render = args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -682,6 +626,15 @@ def main(argv=None) -> int:
     except WphError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         raise
+    if args.json:
+        # The bytes of json.dump(payload, stdout, indent=2, sort_keys=True),
+        # without its element-by-element Python encoder (see _write_json).
+        # Written piece by piece, so a large support echo is never one string.
+        _write_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
+    else:
+        render(payload)
+    return 0
 
 
 if __name__ == "__main__":

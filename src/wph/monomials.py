@@ -111,29 +111,22 @@ def _exact_int_rows(rows) -> bool:
     ) <= {int}
 
 
-def _plain_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...] | None:
-    """The rows as tuples if they are valid and plain, else None.
-
-    Accepts only a non-empty list or tuple of :func:`_exact_int_rows` and
-    checks everything in whole-support passes that run in C: length, sign,
-    weighted degree and distinctness. Anything else, valid or not, is left
-    to :func:`_checked_rows`, which accepts the same supports and names the
-    first defect.
-    """
-    if type(rows) not in (list, tuple) or not rows or not _exact_int_rows(rows):
-        return None
-    if set(map(len, rows)) != {len(weights)} or min(chain.from_iterable(rows)) < 0:
-        return None
-    if set(map(sum, map(map, repeat(mul), repeat(weights), rows))) != {degree}:
-        return None
-    vecs = tuple(map(tuple, rows))
-    if len(set(vecs)) != len(vecs):
-        return None
-    return vecs
-
-
 def _checked_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...]:
-    """Validate the rows one at a time; raises ValidationError on the first defect."""
+    """The rows as exponent tuples; raises ValidationError on the first defect.
+
+    A list or tuple of :func:`_exact_int_rows` is checked in passes that run
+    in C: length, sign, weighted degree and distinctness. Other input, and a
+    support those passes reject, is walked row by row to name the defect.
+    """
+    if type(rows) in (list, tuple) and _exact_int_rows(rows):
+        vecs = tuple(map(tuple, rows))
+        if (
+            set(map(len, vecs)) <= {len(weights)}
+            and min(chain.from_iterable(vecs), default=0) >= 0
+            and set(map(sum, map(map, repeat(mul), repeat(weights), vecs))) <= {degree}
+            and len(set(vecs)) == len(vecs)
+        ):
+            return vecs
     parsed = []
     try:
         indexed = enumerate(rows)
@@ -183,12 +176,9 @@ class PolynomialSupport:
             raise ValidationError(
                 f"support family must be a HypersurfaceFamily, got {self.family!r}"
             )
-        weights = self.family.weights.original
-        vecs = _plain_rows(self.rows, weights, self.family.degree)
-        if vecs is None:
-            vecs = _checked_rows(self.rows, weights, self.family.degree)
-            if not vecs:
-                raise ValidationError("support must contain at least one monomial")
+        vecs = _checked_rows(self.rows, self.family.weights.original, self.family.degree)
+        if not vecs:
+            raise ValidationError("support must contain at least one monomial")
         object.__setattr__(self, "rows", vecs)
 
     def __len__(self) -> int:
@@ -219,18 +209,19 @@ class MonomialExistenceReport:
         return tuple(w.variable for w in self.witnesses if w.witness is None)
 
 
+def _variable_index(i, m: int) -> int:
+    """``i`` as an int in range(m); a ValidationError otherwise."""
+    i = as_int(i, "variable index")
+    if not 0 <= i < m:
+        raise ValidationError(f"variable index {i} out of range for {m} variables")
+    return i
+
+
 def is_witness_row(row: Sequence[int], variable: int) -> bool:
     """Does ``row`` have the shape x_i^k or x_i^k * x_j for ``variable`` i?"""
-    if row[variable] < 1:
-        return False
-    extra = None
-    for j, e in enumerate(row):
-        if j == variable or e == 0:
-            continue
-        if e != 1 or extra is not None:
-            return False
-        extra = j
-    return True
+    variable = _variable_index(variable, len(row))
+    others = [e for j, e in enumerate(row) if j != variable and e]
+    return row[variable] >= 1 and others in ([], [1])
 
 
 def witness_shaped(rows: Sequence[ExponentVector], m: int) -> Iterator[ExponentVector]:
@@ -345,6 +336,8 @@ class WeightedPolynomial:
     ) -> "WeightedPolynomial":
         if coefficients is None:
             coefficients = [1] * len(support.rows)
+        elif type(coefficients) not in (list, tuple):
+            raise ValidationError(f"coefficients must be a list or tuple, got {coefficients!r}")
         if len(coefficients) != len(support.rows):
             raise ValidationError(
                 f"{len(coefficients)} coefficients for {len(support.rows)} monomials"
@@ -369,8 +362,7 @@ def partial_derivative(f: WeightedPolynomial, i: int) -> WeightedPolynomial:
     zero polynomial (no terms).
     """
     ws = f.weights.original
-    if not 0 <= i < len(ws):
-        raise ValidationError(f"variable index {i} out of range for {len(ws)} variables")
+    i = _variable_index(i, len(ws))
     new_terms = []
     for c, vec in f.terms:
         e = vec[i]

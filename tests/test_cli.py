@@ -9,6 +9,7 @@ import wph.cli
 import wph.monomials
 import wph.symmetry
 from wph.cli import _write_json, main
+from wph.errors import InvariantViolationError
 
 
 def run(capsys, *argv):
@@ -437,6 +438,17 @@ class TestUsage:
         assert f"unrecognized arguments: {argv[-2]}" in err
 
 
+    def test_internal_error_is_reported_and_raised(self, capsys, monkeypatch):
+        def broken(fam):
+            raise InvariantViolationError("finiteness went wrong")
+
+        monkeypatch.setattr(wph.cli, "lin_finiteness", broken)
+        with pytest.raises(InvariantViolationError):
+            main(["bound", "--weights", "1,1,1", "--degree", "4"])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "internal error: finiteness went wrong\n")
+
+
 class TestIntegerFlags:
     """Integer flags and --weights take optionally signed ASCII digits only."""
 
@@ -478,6 +490,16 @@ class TestIntegerFlags:
         assert out == ""
         assert f"argument {flag}: must be an integer" in err
         assert repr(token) in err
+
+    def test_digits_past_the_conversion_limit(self, capsys):
+        huge = "9" * 5000  # more digits than int() converts from text
+        code, out, err = run(capsys, "check", "--weights", "1,1,1", "--degree", huge)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: wph check")
+        assert "argument --degree: must be an integer" in err
+        code, out, err = run(capsys, "bound", "--weights", f"{huge},1,1", "--degree", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: could not parse weights '{huge},1,1': entry '{huge}'")
 
     def test_signs_and_leading_zeros_still_parse(self, capsys):
         plain = run(capsys, "bound", "--weights", "36,31,30,25", "--degree", "180")

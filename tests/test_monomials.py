@@ -18,7 +18,8 @@ from wph import (
     partial_derivative,
 )
 
-from wph.monomials import _checked_rows, _plain_rows, iter_monomials
+import wph.monomials
+from wph.monomials import _checked_rows, is_witness_row, iter_monomials
 
 from conftest import descending_monomials, random_weighted_polynomial, series_dimensions
 
@@ -185,24 +186,47 @@ def _error_text(fam, rows) -> str:
     return str(info.value)
 
 
-class TestSupportPaths:
-    """The bulk validation and the row-by-row loop agree on every support.
+def _polynomial_error_text(fam, rows) -> str:
+    with pytest.raises(ValidationError) as info:
+        WeightedPolynomial(fam.weights, fam.degree, [(1, row) for row in rows])
+    return str(info.value)
 
-    An iterator of rows always takes the row-by-row loop, a list of lists
-    of ints the bulk passes, which hand any defect on to the loop.
+
+class TestSupportPaths:
+    """One validator checks the rows of supports and of polynomials.
+
+    A list or tuple of exact-int rows goes through bulk passes, anything
+    else row by row; both give the same rows and name the same defect.
     """
 
-    def test_valid_supports_take_the_bulk_path(self):
-        rng = random.Random(515)
+    def test_list_tuple_and_iterator_agree(self):
+        rng = random.Random(517)
         for _ in range(200):
             fam, rows = _random_rows(rng)
             ws, d = fam.weights.original, fam.degree
-            bulk = _plain_rows(rows, ws, d)
-            assert bulk is not None
-            assert bulk == _checked_rows(iter(rows), ws, d)
-            assert bulk == _plain_rows(tuple(map(tuple, rows)), ws, d)
-            assert PolynomialSupport(fam, rows).rows == bulk
-            assert PolynomialSupport(fam, iter(rows)).rows == bulk
+            expected = tuple(map(tuple, rows))
+            for make in (list, tuple, iter):
+                assert _checked_rows(make(rows), ws, d) == expected
+                assert PolynomialSupport(fam, make(rows)).rows == expected
+
+    def test_valid_supports_take_the_bulk_path(self, monkeypatch):
+        rng = random.Random(515)
+        cases = [_random_rows(rng) for _ in range(200)]
+        real = wph.monomials.as_int
+
+        def as_int(value, what):
+            # the row-by-row walk reads each exponent through as_int
+            assert "exponent" not in what, "rows were walked one at a time"
+            return real(value, what)
+
+        monkeypatch.setattr(wph.monomials, "as_int", as_int)
+        for fam, rows in cases:
+            expected = tuple(map(tuple, rows))
+            support = PolynomialSupport(fam, rows)
+            assert support.rows == expected
+            f = WeightedPolynomial.from_support(support)
+            assert tuple(vec for _, vec in f.terms) == expected
+            assert euler_check(f)
 
     def test_index_ints_accepted_by_both(self):
         rng = random.Random(516)
@@ -227,8 +251,11 @@ class TestSupportPaths:
         rng = random.Random(seed)
         fam, rows = _random_rows(rng)
         bad = _inject(rng, rows, kind)
-        assert _plain_rows(bad, fam.weights.original, fam.degree) is None
-        assert _error_text(fam, bad) == _error_text(fam, iter(bad))
+        message = _error_text(fam, bad)
+        assert _error_text(fam, tuple(bad)) == message
+        assert _error_text(fam, iter(bad)) == message
+        if kind != "empty":  # no terms at all is the zero polynomial
+            assert _polynomial_error_text(fam, bad) == message
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -248,6 +275,8 @@ class TestSupportPaths:
         fam = HypersurfaceFamily([1, 1, 1], 4)
         assert _error_text(fam, rows) == message
         assert _error_text(fam, iter(rows)) == message
+        if rows:  # no terms at all is the zero polynomial
+            assert _polynomial_error_text(fam, rows) == message
 
 
 class TestMonomialExistence:
@@ -276,6 +305,20 @@ class TestMonomialExistence:
         assert not report.passed
         assert report.failing_variables == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "variable, message",
+        [
+            (5, "variable index 5 out of range for 3 variables"),
+            (-1, "variable index -1 out of range for 3 variables"),
+            (True, "variable index must be an integer, got True"),
+            (1.0, "variable index must be an integer, got 1.0"),
+        ],
+    )
+    def test_witness_row_rejects_bad_variable(self, variable, message):
+        with pytest.raises(ValidationError) as info:
+            is_witness_row((0, 1, 3), variable)
+        assert str(info.value) == message
+
 
 class TestDerivatives:
     def test_pure_power(self):
@@ -298,6 +341,13 @@ class TestDerivatives:
         f = WeightedPolynomial(WeightSystem([1, 1]), 2, [(1, (0, 2))])
         with pytest.raises(ValidationError):
             partial_derivative(f, 2)
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1"])
+    def test_non_integer_variable(self, i):
+        f = WeightedPolynomial(WeightSystem([1, 1]), 2, [(1, (1, 1))])
+        with pytest.raises(ValidationError) as info:
+            partial_derivative(f, i)
+        assert str(info.value) == f"variable index must be an integer, got {i!r}"
 
     def test_linear_cone_derivative_hits_degree_zero(self):
         f = WeightedPolynomial(WeightSystem([2, 1]), 2, [(1, (1, 0)), (-1, (0, 2))])
@@ -345,6 +395,17 @@ class TestPolynomialValidation:
         support = PolynomialSupport(fam, [[2, 0], [0, 2]])
         with pytest.raises(ValidationError):
             WeightedPolynomial.from_support(support, [1])
+
+    @pytest.mark.parametrize("coefficients", ["123", iter([1, 2, 3]), 5, {1: 1, 2: 2, 3: 3}])
+    def test_coefficients_must_be_a_list_or_tuple(self, coefficients):
+        fermat = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+        support = PolynomialSupport(HypersurfaceFamily([1, 1, 1], 3), fermat)
+        with pytest.raises(ValidationError) as info:
+            WeightedPolynomial.from_support(support, coefficients)
+        assert str(info.value) == f"coefficients must be a list or tuple, got {coefficients!r}"
+        for given in ([1, 2, 3], (1, 2, 3)):
+            f = WeightedPolynomial.from_support(support, given)
+            assert [c for c, _ in f.terms] == [1, 2, 3]
 
 
 class TestEuler:

@@ -21,6 +21,15 @@ KLEIN = HypersurfaceFamily([1, 1, 1], 4)
 KLEIN_ROWS = [[1, 3, 0], [0, 1, 3], [3, 0, 1]]
 
 
+def test_reprs_name_the_value():
+    support = PolynomialSupport(KLEIN, KLEIN_ROWS)
+    assert repr(WeightSystem([3, 2, 1])) == "WeightSystem([3, 2, 1])"
+    assert repr(support) == "PolynomialSupport(HypersurfaceFamily([1, 1, 1], degree=4), 3 rows)"
+    assert repr(WeightedPolynomial.from_support(support)) == (
+        "WeightedPolynomial(weights=[1, 1, 1], degree=4, 3 terms)"
+    )
+
+
 @pytest.mark.parametrize(
     "build",
     [
