@@ -106,7 +106,6 @@ class IntMatrix:
 class SnfDecomposition:
     """Smith normal form ``U * M * V = D`` with unimodular ``U`` and ``V``.
 
-    ``Vinv`` is the inverse of ``V``, for lattice work on the solution space.
     ``invariant_factors`` lists the nonzero diagonal entries of ``D``; they
     are positive and form a divisibility chain d_1 | d_2 | ... | d_r.
     """
@@ -114,7 +113,6 @@ class SnfDecomposition:
     D: IntMatrix
     U: IntMatrix
     V: IntMatrix
-    Vinv: IntMatrix
     invariant_factors: tuple[int, ...]
 
 
@@ -185,25 +183,18 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form of ``m`` with recorded unimodular transforms.
 
     Deterministic for a given input. The diagonal of the returned ``D`` is
-    nonnegative with the nonzero entries forming a divisibility chain,
-    ``U @ m @ V == D`` holds exactly, and ``V @ Vinv`` is the identity.
-
-    One pass over ``m`` bordered by identities yields D, U and V. V is
-    unimodular, so the same pass over bordered V gives U' V V' = I, and
-    Vinv = V' U'.
+    nonnegative with the nonzero entries forming a divisibility chain, and
+    ``U @ m @ V == D`` holds exactly. One pass over ``m`` bordered by
+    identities yields D, U and V.
     """
     r, c = m.rows, m.cols
     a = _bordered(m.to_rows())
     _snf_worker(a, r, c)
     d = [row[:c] for row in a[:r]]
-    v = a[r:]
-    b = _bordered(v)
-    _snf_worker(b, c, c)
     return SnfDecomposition(
         D=IntMatrix.from_rows(d),
         U=IntMatrix.from_rows([row[c:] for row in a[:r]]),
-        V=IntMatrix.from_rows(v),
-        Vinv=IntMatrix.from_rows(b[c:]) @ IntMatrix.from_rows([row[c:] for row in b[:c]]),
+        V=IntMatrix.from_rows(a[r:]),
         invariant_factors=_diagonal(d),
     )
 

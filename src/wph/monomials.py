@@ -164,12 +164,14 @@ class PolynomialSupport:
 
     Rows align with the family's original weight order. Every row must have
     weighted degree exactly the family degree, and rows must be distinct.
+    ``sparse_rows`` holds the rows with at most two nonzero exponents, in
+    row order; every witness row of :func:`is_witness_row` is among them.
     Supports compare by identity.
     """
 
     family: HypersurfaceFamily
     rows: tuple[ExponentVector, ...]
-    _witnesses: list | None = field(init=False, default=None)
+    sparse_rows: tuple[ExponentVector, ...] = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.family, HypersurfaceFamily):
@@ -180,6 +182,9 @@ class PolynomialSupport:
         if not vecs:
             raise ValidationError("support must contain at least one monomial")
         object.__setattr__(self, "rows", vecs)
+        # A row with at most two nonzero exponents has at least m - 2 zeros.
+        sparse = map((len(self.family.weights) - 2).__le__, map(methodcaller("count", 0), vecs))
+        object.__setattr__(self, "sparse_rows", tuple(compress(vecs, sparse)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -224,25 +229,16 @@ def is_witness_row(row: Sequence[int], variable: int) -> bool:
     return row[variable] >= 1 and others in ([], [1])
 
 
-def witness_shaped(rows: Sequence[ExponentVector], m: int) -> Iterator[ExponentVector]:
-    """Lazily, the rows with at most two nonzero exponents, in their order.
-
-    Every witness row has this shape; a row with three or more nonzero
-    exponents is skipped on its count of zeros alone.
-    """
-    return compress(rows, map((m - 2).__le__, map(methodcaller("count", 0), rows)))
-
-
 def witness_rows(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | None]]]:
     """Each variable's witness rows as (row, companion), in support order.
 
     These are the rows :func:`is_witness_row` accepts: x_i^k with companion
-    None, and x_i^k * x_j with companion j. One pass over the
-    :func:`witness_shaped` rows finds them for every variable.
+    None, and x_i^k * x_j with companion j. One pass over the support's
+    ``sparse_rows`` finds them for every variable.
     """
     m = len(p.family.weights)
     found: list[list[tuple[ExponentVector, int | None]]] = [[] for _ in range(m)]
-    for row in witness_shaped(p.rows, m):
+    for row in p.sparse_rows:
         nonzero = [j for j, e in enumerate(row) if e]
         if len(nonzero) == 1:
             found[nonzero[0]].append((row, None))
@@ -253,17 +249,6 @@ def witness_rows(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | 
             if row[i] == 1:
                 found[j].append((row, i))
     return found
-
-
-def _support_witnesses(p: PolynomialSupport) -> list[list[tuple[ExponentVector, int | None]]]:
-    """:func:`witness_rows` of the support, found once and kept on it.
-
-    The existence check and the distinguished minor both read it; callers
-    must not modify the lists.
-    """
-    if p._witnesses is None:
-        object.__setattr__(p, "_witnesses", witness_rows(p))
-    return p._witnesses
 
 
 def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
@@ -277,7 +262,7 @@ def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
     return MonomialExistenceReport(
         witnesses=tuple(
             VariableWitness(variable=i, witness=rows[0][0] if rows else None)
-            for i, rows in enumerate(_support_witnesses(p))
+            for i, rows in enumerate(witness_rows(p))
         )
     )
 

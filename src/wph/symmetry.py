@@ -52,9 +52,8 @@ from .monomials import (
     ExponentVector,
     PolynomialSupport,
     _capped,
-    _support_witnesses,
     iter_monomials,
-    witness_shaped,
+    witness_rows,
 )
 from .quasismooth import quasismooth_exists
 from .weights import HypersurfaceFamily, WeightSystem, as_int
@@ -156,13 +155,13 @@ def fixing_group(p: PolynomialSupport) -> AbelianGroupStructure:
     Computed from the invariant factors of the exponent matrix, which are
     those of a basis of its row lattice. An infinite group (rank-deficient
     exponent matrix) is a first-class result with ``finite`` False and the
-    positive ``free_rank`` recorded. The rows with at most two nonzero
-    exponents go into the compression first: pure powers and x_i^k * x_j
-    often span the degree lattice on their own, and then no other row is
-    read.
+    positive ``free_rank`` recorded. The support's ``sparse_rows``, those
+    with at most two nonzero exponents, go into the compression first: pure
+    powers and x_i^k * x_j often span the degree lattice on their own, and
+    then no other row is read.
     """
     weights, d = p.family.weights.original, p.family.degree
-    rows = chain(witness_shaped(p.rows, len(weights)), p.rows)
+    rows = chain(p.sparse_rows, p.rows)
     basis = _row_lattice_basis(rows, len(weights), d // gcd(d, *weights))
     return AbelianGroupStructure.from_factors(
         invariant_factors(basis), free_rank=len(weights) - len(basis)
@@ -210,7 +209,7 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
     m = len(weights)
     picked_rows: list[ExponentVector] = []
     choices: list[MinorChoice] = []
-    for i, candidates in enumerate(_support_witnesses(p)):
+    for i, candidates in enumerate(witness_rows(p)):
         if not candidates:
             raise MissingWitnessError(i)
         pure = [c for c in candidates if c[1] is None]

@@ -127,21 +127,34 @@ class TestSymmetry:
         assert minor["bound"] == "64"
         assert minor["bound_holds"] is True
 
-    def test_witness_rows_found_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        original = wph.monomials.witness_rows
+    def test_witness_shape_scanned_once(self, capsys, tmp_path, monkeypatch):
+        """The support is scanned for witness shape once, when it is built.
+
+        After that the fixing group's fold is the one pass over every row;
+        the existence check and the minor read only the stored sparse rows.
+        """
+        built, passes = [], []
+
+        class CountedRows(tuple):
+            def __iter__(self):
+                passes.append(len(self))
+                return super().__iter__()
+
+        post_init = wph.monomials.PolynomialSupport.__post_init__
 
         def counted(support):
-            calls.append(support)
-            return original(support)
+            post_init(support)
+            built.append(support)
+            object.__setattr__(support, "rows", CountedRows(support.rows))
 
-        for module in (wph.monomials, wph.symmetry):
-            if hasattr(module, "witness_rows"):
-                monkeypatch.setattr(module, "witness_rows", counted)
-        payload = run_json(capsys, "symmetry", write_support(tmp_path, "klein.json", KLEIN))
-        assert payload["monomial_existence"]["passed"] is True
-        assert payload["distinguished_minor"]["determinant"] == 28
-        assert len(calls) == 1
+        monkeypatch.setattr(wph.monomials.PolynomialSupport, "__post_init__", counted)
+        path = write_support(tmp_path, "klein.json", KLEIN)
+        code, out, _ = run(capsys, "symmetry", path)
+        assert code == 0
+        assert "per-variable monomial existence: pass" in out
+        assert "det(B) = 28 <= 64: yes" in out
+        assert len(built) == 1
+        assert passes == [3]
 
     def test_klein_text(self, capsys, tmp_path):
         path = write_support(tmp_path, "klein.json", KLEIN)

@@ -82,7 +82,7 @@ class TestSmithNormalForm:
         identity = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         dec = smith_normal_form(identity)
         assert dec.invariant_factors == (1, 1, 1)
-        assert dec.D == dec.U == dec.V == dec.Vinv == identity
+        assert dec.D == dec.U == dec.V == identity
 
     def test_diag_4_6(self):
         m = IntMatrix.from_rows([[4, 0], [0, 6]])
@@ -105,9 +105,6 @@ class TestSmithNormalForm:
     def test_decomposition_properties(self, m):
         dec = smith_normal_form(m)
         assert dec.U @ m @ dec.V == dec.D
-        assert (dec.V @ dec.Vinv).to_rows() == [
-            [int(i == j) for j in range(m.cols)] for i in range(m.cols)
-        ]
         assert abs(cofactor_determinant(dec.U.to_rows())) == 1
         assert abs(cofactor_determinant(dec.V.to_rows())) == 1
         factors = dec.invariant_factors
