@@ -66,6 +66,7 @@ from .quasismooth import (
     quasismooth_exists,
 )
 from .symmetry import (
+    FERMAT_DIMENSION_CAP,
     AbelianGroupStructure,
     DistinguishedMinor,
     FermatPrediction,

@@ -49,6 +49,7 @@ from .weights import (
     LinearityVerdict,
     WeightSystem,
     _plain_int,
+    _too_long,
     aut_equals_lin,
     canonical_class,
     genericity_condition,
@@ -146,6 +147,30 @@ def _write_json(value, write, indent: str = "") -> None:
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
 
+def _decimal(x) -> str:
+    """``str(x)`` of an int or Fraction; ResourceCapError if it has too many digits."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ResourceCapError(_too_long("print")) from None
+
+
+def _check_printable(value) -> None:
+    """:func:`_decimal` of every int of a payload but those in lists of rows.
+
+    Lists of rows in payloads are support rows, whose entries are at most
+    the degree the payload also holds.
+    """
+    if isinstance(value, dict):
+        for item in value.values():
+            _check_printable(item)
+    elif isinstance(value, (list, tuple)) and not (value and isinstance(value[0], (list, tuple))):
+        for item in value:
+            _check_printable(item)
+    elif isinstance(value, int):
+        _decimal(value)
+
+
 def _finiteness_payload(fin) -> dict:
     return {
         "finite": fin.finite,
@@ -162,8 +187,8 @@ def _order_bound_payload(fam: HypersurfaceFamily, table: JordanTable, finite: bo
     except MissingJordanEntryError as exc:
         return {"unavailable": str(exc)}
     return {
-        "weak_jordan": str(bound.weak_jordan),
-        "exact": str(bound.exact),
+        "weak_jordan": _decimal(bound.weak_jordan),
+        "exact": _decimal(bound.exact),
         "floor": bound.floor,
     }
 
@@ -178,10 +203,7 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
     fin = lin_finiteness(fam)
 
     report: dict = {
-        "input": {
-            "weights": list(fam.weights.original),
-            "degree": fam.degree,
-        },
+        "input": {"weights": list(fam.weights.original), "degree": fam.degree},
         "canonical_weights": list(fam.weights.canonical),
         "dimension": fam.n,
         "well_formed": {
@@ -216,9 +238,7 @@ def build_check_report(fam: HypersurfaceFamily, table: JordanTable) -> dict:
         except ResourceCapError as exc:
             report["forced_central_group"] = {"unavailable": str(exc)}
     else:
-        report["forced_central_group"] = {
-            "unavailable": "family has no quasismooth member"
-        }
+        report["forced_central_group"] = {"unavailable": "family has no quasismooth member"}
     return report
 
 
@@ -300,10 +320,12 @@ def load_support_file(path: str | Path):
     """Parse a support file: weights, degree, monomials, optional coefficients."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read support file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"support file {path} is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer literal with more digits than int() converts
+        raise ValidationError(f"support file {path}: {_too_long('read')}") from None
     if not isinstance(data, dict):
         raise ValidationError("support file must contain a top-level object")
     for key in ("weights", "degree", "monomials"):
@@ -351,13 +373,12 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
     }
     if existence.passed:
         minor = distinguished_minor(support)
-        numerator = fam.degree ** len(fam.weights)
-        cap = Fraction(numerator, fam.weight_product)
+        cap = Fraction(fam.degree ** len(fam.weights), fam.weight_product)
         report["distinguished_minor"] = {
             "rows": [list(minor.B.row(i)) for i in range(minor.B.rows)],
             "witnesses": [ch._asdict() for ch in minor.chosen_rows],
             "determinant": minor.determinant,
-            "bound": str(cap),
+            "bound": _decimal(cap),
             "bound_holds": 0 < minor.determinant <= cap,
         }
     else:
@@ -372,10 +393,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
 def _render_symmetry(report: dict) -> None:
     inp = report["input"]
     ws = ",".join(str(a) for a in inp["weights"])
-    print(
-        f"support: {len(inp['monomials'])} monomials of degree {inp['degree']} "
-        f"in P({ws})"
-    )
+    print(f"support: {len(inp['monomials'])} monomials of degree {inp['degree']} in P({ws})")
     g = report["fixing_group"]
     if g["finite"]:
         print(f"fixing group: {_group_text(g)}")
@@ -389,10 +407,7 @@ def _render_symmetry(report: dict) -> None:
     if ex["passed"]:
         print("per-variable monomial existence: pass")
     else:
-        print(
-            f"per-variable monomial existence: fail for variables "
-            f"{ex['failing_variables']}"
-        )
+        print(f"per-variable monomial existence: fail for variables {ex['failing_variables']}")
     minor = report["distinguished_minor"]
     if not _print_unavailable("distinguished minor", minor):
         print(f"distinguished minor rows: {minor['rows']}")
@@ -440,8 +455,11 @@ def cmd_enumerate(args):
 
 
 def cmd_fermat(args):
-    prediction = fermat_prediction(args.dim, args.degree)
+    # The support first refuses a dimension above its cap, and a prediction
+    # too long to print stops before the cross-check builds a larger order.
     support = fermat_support(args.dim, args.degree)
+    prediction = fermat_prediction(args.dim, args.degree)
+    _check_printable(prediction)
     diag = lin_diagonal_order(support)
     payload = {
         "dimension": args.dim,
@@ -455,9 +473,7 @@ def cmd_fermat(args):
     }
 
     def render(p):
-        print(
-            f"Fermat hypersurface, dimension {p['dimension']}, degree {p['degree']}:"
-        )
+        print(f"Fermat hypersurface, dimension {p['dimension']}, degree {p['degree']}:")
         print(f"  |Lin(X)| = (n+2)! * d^(n+1) = {p['total']}")
         print(f"  diagonal part d^(n+1) = {p['diagonal_part']}")
         cc = p["diagonal_cross_check"]
@@ -478,12 +494,10 @@ def cmd_bound(args):
         "finiteness": _finiteness_payload(fin),
     }
     if fin.finite:
-        hypothesis = Fraction(
-            factorial(fam.n + 2) * fam.degree ** (fam.n + 1), fam.weight_product
-        )
+        hypothesis = Fraction(factorial(fam.n + 2) * fam.degree ** (fam.n + 1), fam.weight_product)
         payload["order_bound"] = _order_bound_payload(fam, table, fin.finite)
         payload["factorial_hypothesis_bound"] = {
-            "exact": str(hypothesis),
+            "exact": _decimal(hypothesis),
             "floor": hypothesis.__floor__(),
             "note": (
                 "(n+2)! * d^(n+1) / prod(weights); conjectural constant for "
@@ -493,7 +507,7 @@ def cmd_bound(args):
         if fam.n == 1:
             cb = curve_bound(fam)
             payload["curve_bound"] = {
-                "exact": str(cb.bound),
+                "exact": _decimal(cb.bound),
                 "floor": cb.bound.__floor__(),
                 "exceptions": [asdict(e) for e in cb.exceptions],
             }
@@ -513,26 +527,23 @@ def cmd_bound(args):
             cb_p = p["curve_bound"]
             print(f"curve bound 6d^2/(abc): {cb_p['exact']} (floor {cb_p['floor']})")
             for e in cb_p["exceptions"]:
-                print(
-                    f"  exception: {e['name']} with group {e['group']} of order "
-                    f"{e['order']}"
-                )
+                print(f"  exception: {e['name']} with group {e['group']} of order {e['order']}")
 
     return payload, render
 
 
-def _int_arg(text: str) -> int:
-    value = _plain_int(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+def _int_arg(text: str, least: int | None = None) -> int:
+    try:
+        value = _plain_int(text)
+    except ValidationError as exc:  # too many digits; the text is not echoed
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None or (least is not None and value < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise argparse.ArgumentTypeError(f"must be an integer{at_least}, got {text!r}")
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = _plain_int(text)
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+_positive_int = functools.partial(_int_arg, least=1)
 
 
 @functools.cache
@@ -617,6 +628,7 @@ def main(argv=None) -> int:
     try:
         # Each subcommand returns its payload and the renderer of its text form.
         payload, render = args.func(args)
+        _check_printable(payload)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

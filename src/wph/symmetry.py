@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,6 +44,7 @@ from .bounds import lin_finiteness
 from .errors import (
     InvariantViolationError,
     MissingWitnessError,
+    ResourceCapError,
     ValidationError,
 )
 from .intlinalg import IntMatrix, integer_determinant, invariant_factors
@@ -80,10 +81,7 @@ class AbelianGroupStructure:
         nontrivial = tuple(int(f) for f in factors if f > 1)
         if free_rank:
             return cls(nontrivial, None, False, int(free_rank))
-        order = 1
-        for f in nontrivial:
-            order *= f
-        return cls(nontrivial, order, True, 0)
+        return cls(nontrivial, prod(nontrivial), True, 0)
 
 
 class MinorChoice(NamedTuple):
@@ -141,10 +139,7 @@ def _row_lattice_basis(
                 pivots[p], v = v, b
                 changed = True
         if changed and len(pivots) == ncols:
-            det = 1
-            for p, b in pivots.items():
-                det *= b[p]
-            if abs(det) == index:
+            if abs(prod(b[p] for p, b in pivots.items())) == index:
                 break
     return [pivots[p] for p in sorted(pivots)]
 
@@ -213,10 +208,7 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
         if not candidates:
             raise MissingWitnessError(i)
         pure = [c for c in candidates if c[1] is None]
-        if pure:
-            row, companion = pure[0]
-        else:
-            row, companion = max(candidates, key=lambda c: (c[0][i], -c[1]))
+        row, companion = pure[0] if pure else max(candidates, key=lambda c: (c[0][i], -c[1]))
         picked_rows.append(row)
         choices.append(MinorChoice(variable=i, exponent=row[i], companion=companion))
     B = IntMatrix.from_rows(picked_rows)
@@ -272,6 +264,11 @@ def _forced_central_group(
     return AbelianGroupStructure.from_factors(invariant_factors(basis), free_rank=0)
 
 
+#: Largest dimension :func:`fermat_support` builds. The Smith form of its
+#: exponent matrix d * I_(n+2) costs O(n^3): about 1 s at the cap (Xeon, Python 3.11).
+FERMAT_DIMENSION_CAP = 300
+
+
 class FermatPrediction(NamedTuple):
     total: int
     diagonal_part: int
@@ -298,6 +295,8 @@ def fermat_support(n: int, d: int) -> PolynomialSupport:
     n, d = as_int(n, "dimension"), as_int(d, "degree")
     if n < 1 or d < 1:
         raise ValidationError("Fermat support needs n >= 1 and d >= 1")
+    if n > FERMAT_DIMENSION_CAP:
+        raise ResourceCapError(f"Fermat support dimension exceeds cap {FERMAT_DIMENSION_CAP}")
     m = n + 2
     fam = HypersurfaceFamily(WeightSystem((1,) * m), d)
     rows = [tuple(d if j == i else 0 for j in range(m)) for i in range(m)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -25,18 +26,23 @@ def as_int(value, what: str) -> int:
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 
+def _too_long(action: str) -> str:
+    """Why an int past Python's limit on conversions to or from text was refused."""
+    return f"integer too long to {action} (more than {sys.get_int_max_str_digits()} digits)"
+
+
 def _plain_int(text: str) -> int | None:
     """The value of an optionally signed run of ASCII digits, else None.
 
     ``int`` alone would also take underscores, surrounding blanks and
-    non-ASCII digits.
+    non-ASCII digits. Too many digits for ``int`` raise ValidationError.
     """
     if not _PLAIN_INT.fullmatch(text):
         return None
     try:
         return int(text)
-    except ValueError:  # more digits than the interpreter converts
-        return None
+    except ValueError:
+        raise ValidationError(_too_long("read")) from None
 
 
 def _text_int(token: str, what: str) -> int:

@@ -6,7 +6,8 @@ byte for byte with the files recorded there: ``<case>.out`` and
 ``<case>.err`` (absent when empty) and ``exit_codes.json``. The corpus
 covers every subcommand in text and ``--json`` mode, a support of more than
 1024 rows, a support with coefficients, and each error class: validation
-errors (exit 2), a resource cap (exit 3) and usage errors from argparse.
+errors (exit 2), resource caps (exit 3), usage errors from argparse, and
+integers too long to read (exit 2) or to print (exit 3).
 
 This module needs nothing but the standard library and ``wph``. Running it
 replays the corpus on any supported Python, names each case that differs
@@ -137,10 +138,26 @@ CASES = {
         "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", "300",
         "--max-candidates", "50", "--json",
     ],
+    "error_fermat_dimension_cap": ["fermat", "--dim", "301", "--degree", "3"],
+    # integers past the interpreter's 4300-digit limit for int <-> str: an
+    # input that cannot be read exits 2, a result too long to print exits 3
+    "error_support_degree_too_long": ["symmetry", "inputs/degree_too_long.json"],
+    "error_support_not_utf8": ["symmetry", "inputs/not_utf8.json"],
+    "error_symmetry_result_too_long_json": [
+        "symmetry", "inputs/pure_powers_too_long.json", "--json",
+    ],
+    "error_fermat_result_too_long_text": [
+        "fermat", "--dim", "200", "--degree", "1" + "0" * 21,
+    ],
+    "error_bound_result_too_long_text": ["bound", "--weights", "7,5,3", "--degree", "9" * 2200],
+    "error_bound_result_too_long_json": [
+        "bound", "--weights", "7,5,3", "--degree", "9" * 2200, "--json",
+    ],
     # exit 2: argparse usage errors
     "usage_missing_subcommand": [],
     "usage_unknown_flag": ["check", *FLAGSHIP, "--nope"],
     "usage_max_candidates": ["enumerate", "--dim", "1", "--max-candidates", "0"],
+    "usage_degree_too_long": ["check", "--weights", "1,1,1", "--degree", "9" * 5000],
 }
 
 

@@ -220,6 +220,7 @@ class TestSymmetry:
             ("1_000", "coefficient 1: '1_000' is not an integer"),
             ("٣", "coefficient 1: '٣' is not an integer"),
             ("1/0", "coefficient 1: '1/0' has a zero denominator"),
+            ("1/" + "7" * 5000, "integer too long to read (more than 4300 digits)"),
             (0.1, "coefficient 1 must be an integer, a Fraction or text 'p/q', got 0.1"),
             (True, "coefficient 1 must be an integer, a Fraction or text 'p/q', got True"),
         ],
@@ -506,13 +507,16 @@ class TestIntegerFlags:
 
     def test_digits_past_the_conversion_limit(self, capsys):
         huge = "9" * 5000  # more digits than int() converts from text
+        too_long = "integer too long to read (more than 4300 digits)"
         code, out, err = run(capsys, "check", "--weights", "1,1,1", "--degree", huge)
         assert (code, out) == (2, "")
         assert err.startswith("usage: wph check")
-        assert "argument --degree: must be an integer" in err
-        code, out, err = run(capsys, "bound", "--weights", f"{huge},1,1", "--degree", "4")
+        assert err.endswith(f"argument --degree: {too_long}\n")
+        code, out, err = run(capsys, "enumerate", "--dim", "1", "--max-candidates", huge)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: could not parse weights '{huge},1,1': entry '{huge}'")
+        assert err.endswith(f"argument --max-candidates: {too_long}\n")
+        code, out, err = run(capsys, "bound", "--weights", f"{huge},1,1", "--degree", "4")
+        assert (code, out, err) == (2, "", f"error: {too_long}\n")
 
     def test_signs_and_leading_zeros_still_parse(self, capsys):
         plain = run(capsys, "bound", "--weights", "36,31,30,25", "--degree", "180")

@@ -5,6 +5,7 @@ import pytest
 
 import wph.symmetry
 from wph import (
+    FERMAT_DIMENSION_CAP,
     AbelianGroupStructure,
     HypersurfaceFamily,
     IntMatrix,
@@ -648,6 +649,17 @@ class TestFermat:
             fermat_prediction(0, 4)
         with pytest.raises(ValidationError):
             fermat_prediction(1, 2)
+
+    def test_dimension_cap(self, monkeypatch):
+        """The cap is checked before the family or any row is built."""
+        assert len(fermat_support(FERMAT_DIMENSION_CAP, 3)) == FERMAT_DIMENSION_CAP + 2
+
+        def unbuilt(*args):
+            raise AssertionError("Fermat support built above the cap")
+
+        monkeypatch.setattr(wph.symmetry, "HypersurfaceFamily", unbuilt)
+        with pytest.raises(ResourceCapError, match="exceeds cap 300"):
+            fermat_support(FERMAT_DIMENSION_CAP + 1, 3)
 
     def test_diagonal_law_small(self):
         for n in (1, 2):
