@@ -181,7 +181,7 @@ class JordanTable:
     def load(cls, path: str | Path) -> "JordanTable":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read Jordan table {path}: {exc}") from exc
         return cls.parse(text)
 

@@ -455,8 +455,7 @@ def cmd_enumerate(args):
 
 
 def cmd_fermat(args):
-    # The support first refuses a dimension above its cap, and a prediction
-    # too long to print stops before the cross-check builds a larger order.
+    # Stop at the dimension cap, or at a prediction too long to print, before the cross-check.
     support = fermat_support(args.dim, args.degree)
     prediction = fermat_prediction(args.dim, args.degree)
     _check_printable(prediction)

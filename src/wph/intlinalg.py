@@ -22,7 +22,6 @@ need no memory beyond the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ResourceCapError, ValidationError
@@ -83,17 +82,17 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-        out = (sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols)
+        out = []
+        for i in range(self.rows):
+            left = self.row(i)
+            for j in range(other.cols):
+                out.append(sum(left[k] * other.at(k, j) for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
 
     @property
     def is_square(self) -> bool:

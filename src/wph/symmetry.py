@@ -208,7 +208,10 @@ def distinguished_minor(p: PolynomialSupport) -> DistinguishedMinor:
         if not candidates:
             raise MissingWitnessError(i)
         pure = [c for c in candidates if c[1] is None]
-        row, companion = pure[0] if pure else max(candidates, key=lambda c: (c[0][i], -c[1]))
+        if pure:
+            row, companion = pure[0]
+        else:
+            row, companion = max(candidates, key=lambda c: (c[0][i], -c[1]))
         picked_rows.append(row)
         choices.append(MinorChoice(variable=i, exponent=row[i], companion=companion))
     B = IntMatrix.from_rows(picked_rows)

@@ -127,7 +127,7 @@ class TestSymmetry:
         assert minor["bound"] == "64"
         assert minor["bound_holds"] is True
 
-    def test_witness_shape_scanned_once(self, capsys, tmp_path, monkeypatch):
+    def test_witness_rows_found_once(self, capsys, tmp_path, monkeypatch):
         """The support is scanned for witness shape once, when it is built.
 
         After that the fixing group's fold is the one pass over every row;
@@ -412,6 +412,15 @@ class TestJordanTableFlag:
         )
         assert code == 2 and out == ""
         assert "Jordan table line 2: '1_0' is not an integer" in err
+
+    def test_table_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "jordan.txt"
+        path.write_bytes(b"3 360 caf\xe9\n")
+        code, out, err = run(
+            capsys, "bound", "--weights", "1,1,1", "--degree", "5", "--jordan-table", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read Jordan table {path}: 'utf-8' codec")
 
 
 class TestUsage:

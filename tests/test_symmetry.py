@@ -451,6 +451,7 @@ class TestWitnessPass:
         rng = random.Random(2301)
         for _ in range(300):
             support = self.random_support(rng)
+            assert support.sparse_rows == tuple(r for r in support.rows if sum(map(bool, r)) <= 2)
             found = witness_rows(support)
             for i, pairs in enumerate(found):
                 expected = [row for row in support.rows if is_witness_row(row, i)]
