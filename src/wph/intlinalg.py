@@ -281,9 +281,15 @@ def representable_mask(limit: int, generators: Iterable[int]) -> int:
 
 
 def _check_target_cap(limit: int) -> None:
+    """ResourceCapError past the cap, naming a long target by its digit count."""
     if limit > REPRESENTABLE_TARGET_CAP:
+        # A lower bound on the digit count, raised to it without converting to text.
+        digits = (limit.bit_length() - 1) * 30102 // 100000
+        while 10**digits <= limit:
+            digits += 1
+        shown = limit if digits <= 20 else f"of {digits} digits"
         raise ResourceCapError(
-            f"representability target {limit} exceeds cap {REPRESENTABLE_TARGET_CAP}"
+            f"representability target {shown} exceeds cap {REPRESENTABLE_TARGET_CAP}"
         )
 
 

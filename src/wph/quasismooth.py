@@ -10,19 +10,38 @@ nonempty index subset I one of the following holds:
 One traversal visits the subsets in increasing size, lexicographically within
 a size, and yields each failing one as a :class:`SubsetDiagnostic`. A
 singleton {i} reduces to divisibility (d or some d - a_j a multiple of a_i),
-so it never has an outside witness when it fails. A larger subset reads a
+so it never has an outside witness when it fails.
+
+Before any larger subset, a certificate is tried (Kreuzer-Skarke's witness
+pointers). Give each index i a pointer p(i): p(i) = i if a_i divides d,
+else some j != i with a_j < d and a_i dividing d - a_j, so that
+x_i^{k_i} * x_{p(i)} has degree d for some k_i >= 1. An index whose
+singleton fails has no pointer, so such a family has no certificate.
+
+Lemma. If the pointers of the indices with a_i not dividing d are pairwise
+distinct, every nonempty subset I satisfies the criterion.
+
+Proof. If some i in I has p(i) in I, then x_i^{k_i} * x_{p(i)} is supported
+on I and d = k_i * a_i + a_{p(i)} (or d = k_i * a_i when p(i) = i) is a
+combination of the weights in I: (a) holds. Otherwise no a_i with i in I
+divides d, so p maps I injectively outside I, and each
+d - a_{p(i)} = k_i * a_i is representable by I: these |I| outside indices
+give (b).
+
+Such pointers are found by augmenting-path bipartite matching; when they
+exist the family passes with no scan. Otherwise a larger subset reads a
 representability mask of d + 1 bits, built from its parent's mask (the
 subset without its last index) by closing it under one more weight; only
 the singleton masks start from the empty semigroup, and the masks of one
 size are kept until the next size is built. Degrees above
-``REPRESENTABLE_TARGET_CAP`` raise :class:`ResourceCapError` when the scan
-reaches subsets of two weights, before any mask is built. A subset whose
-mask lacks d counts its outside witnesses by popcounts against fixed masks
-of the bits d - a_j, and builds the witness tuple only when it fails. By
-default the scan stops at the first failure; with ``diagnostics=True`` it
-runs to the end and reports every failing subset. A passing family visits
-every subset either way. Subset indices refer to the canonical
-(non-increasing) weight order.
+``REPRESENTABLE_TARGET_CAP`` raise :class:`ResourceCapError` once the
+singletons are tested, before the certificate or any mask is built. A
+subset whose mask lacks d counts its outside witnesses by popcounts against
+fixed masks of the bits d - a_j, and builds the witness tuple only when it
+fails. By default the scan stops at the first failure; with
+``diagnostics=True`` it runs to the end and reports every failing subset.
+A passing family that has no certificate visits every subset either way.
+Subset indices refer to the canonical (non-increasing) weight order.
 """
 
 from __future__ import annotations
@@ -59,6 +78,32 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
     return fam.degree in fam.weights.canonical
 
 
+def _distinct_pointers(weights, d):
+    """Can each index i with a_i not dividing d point to its own target j,
+    one with a_j < d and a_i dividing d - a_j, no two indices sharing one?
+
+    Augmenting-path bipartite matching: ``targets[s]`` lists the targets open
+    to the s-th such index, and ``owner`` maps a target to the index holding it.
+    """
+    targets = [
+        [j for j, b in enumerate(weights) if b < d and (d - b) % a == 0]
+        for a in weights
+        if d % a
+    ]
+    owner = {}
+
+    def claim(s, seen):
+        for j in targets[s]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or claim(owner[j], seen):
+                    owner[j] = s
+                    return True
+        return False
+
+    return all(claim(s, set()) for s in range(len(targets)))
+
+
 def _failing_subsets(weights, d):
     """Failing subsets of the criterion, as diagnostics in (size, lex) order.
 
@@ -73,6 +118,9 @@ def _failing_subsets(weights, d):
         if 0 not in [r % a for r in remainders]:
             yield SubsetDiagnostic((i,), False, (), 1)
     _check_target_cap(d)
+    # The lemma of the module docstring; a failed singleton has no target.
+    if _distinct_pointers(weights, d):
+        return
     full = (1 << (d + 1)) - 1
     masks = [_closed(1, a, d, full) for a in weights[:-1]]
     # One bit d - a per index with a <= d, the k-th index of a weight value
@@ -111,10 +159,12 @@ def quasismooth_exists(
 ) -> QuasismoothReport:
     """Does the family contain a quasismooth member?
 
-    Implements the subset criterion verbatim over all 2^(n+2) - 1 nonempty
-    subsets, with the linear cone short-circuit. Families with more than
-    24 variables are rejected (the scan is exponential in the variable
-    count), as are degrees beyond the representability cap.
+    Decides the subset criterion exactly, with the linear cone
+    short-circuit. After the singleton tests, distinct witness pointers
+    settle a passing family at once; a family without them is scanned over
+    all 2^(n+2) - 1 nonempty subsets. Families with more than 24 variables
+    are rejected (the scan is exponential in the variable count), as are
+    degrees beyond the representability cap.
     """
     weights = fam.weights.canonical
     m = len(weights)

@@ -289,6 +289,8 @@ def fermat_prediction(n: int, d: int) -> FermatPrediction:
         raise ValidationError("Fermat prediction needs dimension n >= 1")
     if d < 3:
         raise ValidationError("Fermat prediction needs degree d >= 3")
+    if n > FERMAT_DIMENSION_CAP:
+        raise ResourceCapError(f"Fermat prediction dimension exceeds cap {FERMAT_DIMENSION_CAP}")
     diagonal = d ** (n + 1)
     return FermatPrediction(total=factorial(n + 2) * diagonal, diagonal_part=diagonal)
 

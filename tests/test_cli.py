@@ -115,6 +115,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--weights", "1,1", "--degree", "0")
         assert code == 2
 
+    def test_long_degree_over_the_target_cap(self, capsys):
+        code, out, err = run(capsys, "check", "--weights", "7,5,3", "--degree", "9" * 2200)
+        assert code == 3 and out == ""
+        assert err == (
+            "resource cap exceeded: representability target of 2200 digits exceeds cap 10000000\n"
+        )
+        assert len(err) < 200
+
 
 class TestSymmetry:
     def test_klein(self, capsys, tmp_path):

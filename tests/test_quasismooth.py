@@ -8,10 +8,13 @@ from hypothesis import given, strategies as st
 import wph.quasismooth
 from wph import (
     REPRESENTABLE_TARGET_CAP,
+    CanonicalKind,
     HypersurfaceFamily,
     PolynomialSupport,
     ResourceCapError,
+    SearchConstraints,
     WeightSystem,
+    enumerate_families,
     enumerate_monomials,
     is_linear_cone,
     monomial_existence_check,
@@ -141,11 +144,12 @@ class TestParentMasks:
             return original(mask, g, limit, full)
 
         monkeypatch.setattr(wph.quasismooth, "_closed", counted)
-        assert quasismooth_exists(HypersurfaceFamily([36, 31, 30, 25], 180)).exists
-        assert fresh == [36, 31, 30]
+        # A passing K3 family with no distinct-pointer certificate: it scans.
+        assert quasismooth_exists(HypersurfaceFamily([11, 5, 4, 2], 22)).exists
+        assert fresh == [11, 5, 4]
 
     def test_degree_over_the_target_cap(self):
-        for d in (REPRESENTABLE_TARGET_CAP + 2, 10**15):
+        for d in (REPRESENTABLE_TARGET_CAP + 2, 10**15, 10**5000):
             for diagnostics in (False, True):
                 with pytest.raises(ResourceCapError):
                     quasismooth_exists(HypersurfaceFamily([2, 2], d), diagnostics=diagnostics)
@@ -154,6 +158,67 @@ class TestParentMasks:
         assert quasismooth_exists(fam).failing_subsets[0].subset == (0,)
         with pytest.raises(ResourceCapError):
             quasismooth_exists(fam, diagnostics=True)
+        # Certified by pointers 0 -> 1 and 1 -> 0, neither weight dividing d:
+        # the cap is still checked first.
+        fam = HypersurfaceFamily([3, 2], REPRESENTABLE_TARGET_CAP + 1)
+        assert wph.quasismooth._distinct_pointers((3, 2), fam.degree)
+        for diagnostics in (False, True):
+            with pytest.raises(ResourceCapError):
+                quasismooth_exists(fam, diagnostics=diagnostics)
+
+
+class TestPointerCertificate:
+    """Distinct witness pointers settle a family with no subset scan."""
+
+    def test_certified_random_families_have_no_failing_subset(self):
+        rng = random.Random(20)
+        certified = 0
+        for _ in range(2000):
+            m = rng.randint(2, 7)
+            ws = tuple(sorted((rng.randint(1, 30) for _ in range(m)), reverse=True))
+            d = rng.randint(1, 120)
+            fam = HypersurfaceFamily(ws, d)
+            expected = naive_quasismooth_failures(ws, d)
+            full = quasismooth_exists(fam, diagnostics=True)
+            fast = quasismooth_exists(fam)
+            assert [astuple(s) for s in full.failing_subsets] == expected, (ws, d)
+            assert [astuple(s) for s in fast.failing_subsets] == expected[:1], (ws, d)
+            if wph.quasismooth._distinct_pointers(ws, d):
+                assert expected == [], (ws, d)
+                certified += 1
+        assert certified >= 30
+
+    @staticmethod
+    def uncertified_census(dim, **bound):
+        """The census's families without a certificate, after checking that
+        every family passes the oracle and the library's diagnostics scan."""
+        census = enumerate_families(
+            SearchConstraints(dimension=dim, canonical_kind=CanonicalKind.CALABI_YAU, **bound)
+        )
+        left = []
+        for fam in census:
+            ws, d = fam.weights.canonical, fam.degree
+            assert naive_quasismooth_failures(ws, d) == [], (ws, d)
+            assert quasismooth_exists(fam, diagnostics=True).failing_subsets == ()
+            if not wph.quasismooth._distinct_pointers(ws, d):
+                left.append((ws, d))
+        return len(census), left
+
+    def test_uncertified_k3_families(self):
+        assert self.uncertified_census(2) == (95, [
+            ((11, 5, 4, 2), 22), ((17, 7, 6, 4), 34), ((17, 10, 4, 3), 34), ((19, 8, 6, 5), 38),
+        ])
+
+    def test_uncertified_threefold_families(self):
+        families, left = self.uncertified_census(3, max_degree=60)
+        assert (families, len(left)) == (1292, 218)
+
+    def test_shared_target_is_not_a_certificate(self):
+        # Both 2s point only at index 2 (3 - 1 = 2): every singleton passes,
+        # but the pair {0, 1} represents no 3 and has one outside witness.
+        assert not wph.quasismooth._distinct_pointers((2, 2, 1), 3)
+        report = quasismooth_exists(HypersurfaceFamily([2, 2, 1], 3), diagnostics=True)
+        assert [astuple(s) for s in report.failing_subsets] == [((0, 1), False, (2,), 2)]
 
 
 class TestConsistencyWithMonomialExistence:

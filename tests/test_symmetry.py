@@ -662,6 +662,17 @@ class TestFermat:
         with pytest.raises(ResourceCapError, match="exceeds cap 300"):
             fermat_support(FERMAT_DIMENSION_CAP + 1, 3)
 
+    def test_prediction_dimension_cap(self, monkeypatch):
+        """The cap is checked before (n+2)! * d^(n+1) is computed."""
+        assert fermat_prediction(FERMAT_DIMENSION_CAP, 3).diagonal_part == 3 ** 301
+
+        def uncomputed(*args):
+            raise AssertionError("Fermat prediction computed above the cap")
+
+        monkeypatch.setattr(wph.symmetry, "factorial", uncomputed)
+        with pytest.raises(ResourceCapError, match="prediction dimension exceeds cap 300"):
+            fermat_prediction(FERMAT_DIMENSION_CAP + 1, 3)
+
     def test_diagonal_law_small(self):
         for n in (1, 2):
             for d in (3, 4):
