@@ -4,12 +4,14 @@ The Calabi-Yau search (degree equal to the weight sum) is the workhorse: it
 reproduces the classical lists of elliptic and K3 hypersurface families. It
 walks sorted tuples a_1 >= a_2 >= ... of smaller weights and completes each
 with leading weights a_0 >= a_1, so d = a_0 + R with R the sum of the smaller
-weights, and only tuples with R + a_1 <= max_degree are visited. Four tests
+weights, and only tuples with R + a_1 <= max_degree are visited. Five tests
 prune on the raw integers, before any WeightSystem is built:
 
 * the singleton condition at the lead: a_0 divides R or R minus a smaller
   weight. Every smaller weight is at most a_0, so the quotient is at most
   the number of weights summed, and a few divisions give the leads;
+* the singleton condition at a_1, tested as the leads are made: a_1 divides
+  d - a_0 = R, or d - b for b = 0 or a smaller weight;
 * dominance, with two or more weights after a_1: let S = a_2 + a_3 + ...
   If S < a_1, then a_0 = a_1 + S - b and a_1 = 2S - b - b' for some b, b'
   in {0, a_2, a_3, ...}. Proof: a_0 divides a_1 + S - b for b = 0 or a
@@ -23,27 +25,50 @@ prune on the raw integers, before any WeightSystem is built:
   So the walk takes every last weight at or above the split, where
   S >= a_1, and below it only the few last weights these equations give;
 * well-formedness: the smaller weights must be coprime, and a_0 must be
-  coprime to each of their omit-one gcds;
-* the singleton condition at every smaller weight a: a must divide d or
-  d minus another weight.
+  coprime to the lcm of their omit-one gcds;
+* the singleton condition at every other smaller weight a: a must divide d
+  or d minus another weight.
 
 The quasismooth tests apply only under ``require_quasismooth``, the
-well-formedness tests only under ``require_well_formed``. Each is a necessary
-condition only, and every emitted family is re-checked against the public
-predicates, so the pruning changes the speed of the search and never its
-result.
+well-formedness tests only under ``require_well_formed``. With a single
+smaller weight a_1 divides R = a_1, so every lead passes both singleton
+conditions and neither is tested.
+
+Under ``require_quasismooth`` a lead that passes the raw tests is decided on
+its canonical tuple (a_0, a_1, ...) and d by the core that
+``quasismooth_exists`` runs: it fails iff ``_failing_subsets`` of
+``wph.quasismooth`` yields a subset. Above 24 weights the first such lead
+raises ResourceCapError, as ``quasismooth_exists`` does. A WeightSystem and a
+HypersurfaceFamily are built only for the families emitted. The rest of the
+filter chain of the generic search holds by construction:
+
+* no candidate is a linear cone. Proof: R >= 1, so d = a_0 + R > a_0, and
+  a_0 is the largest weight; a cone needs a weight equal to d;
+* every candidate is Calabi-Yau: d is the weight sum;
+* the raw well-formedness test is exactly well-formedness. Proof: the
+  omit-one gcd at a_0 is the gcd of the smaller weights, and the one at a
+  smaller weight a_i is gcd(a_0, g_i), with g_i the gcd of the smaller
+  weights other than a_i. All of them are 1 iff the smaller weights are
+  coprime and a_0 is coprime to every g_i, that is to their lcm. (With a
+  single smaller weight its g_i is the gcd of no weights, 0, and a_0 must
+  be 1.)
+
+Every raw quasismooth test is a necessary condition and the decision is the
+subset criterion itself, so the census emits exactly the families the public
+predicates accept; the raw tests change its speed, never its result.
 
 The candidate cap counts the steps of the Calabi-Yau search: each prefix of
 smaller weights (all but the last) it walks, each tuple of smaller weights it
-visits, and each lead the first test keeps (each lead in range without
-``require_quasismooth``; none when the smaller weights share a factor under
-``require_well_formed``). A tuple the dominance test skips is not visited and
-is not counted; a prefix costs a bounded amount of work whether or not any of
-its tuples is visited, which its own step pays for. The search raises
-ResourceCapError once the count passes the cap, before it does the work
-counted. The generic search (another canonical kind, or none) raises up front
-when its (weights, degree) pairs number more than the cap; with a Fano or
-general-type kind it tries only the degrees below or above the weight sum.
+visits, and each lead kept by the tests at the lead and at a_1 (each lead in
+range without ``require_quasismooth`` or with a single smaller weight; none
+when the smaller weights share a factor under ``require_well_formed``). A
+tuple the dominance test skips is not visited and is not counted; a prefix
+costs a bounded amount of work whether or not any of its tuples is visited,
+which its own step pays for. The search raises ResourceCapError once the
+count passes the cap, before it does the work counted. The generic search
+(another canonical kind, or none) raises up front when its (weights, degree)
+pairs number more than the cap; with a Fano or general-type kind it tries
+only the degrees below or above the weight sum.
 
 The measured census time against the degree bound is in ``bench/README.md``
 (section "Census scaling", from ``python3 bench/scaling.py``).
@@ -56,7 +81,13 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
 from .errors import ResourceCapError, ValidationError
-from .quasismooth import is_linear_cone, quasismooth_exists
+from .quasismooth import (
+    MAX_SUBSET_VARIABLES,
+    _failing_subsets,
+    _too_many_variables,
+    is_linear_cone,
+    quasismooth_exists,
+)
 from .weights import (
     CanonicalKind,
     HypersurfaceFamily,
@@ -180,6 +211,7 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
     # With one smaller weight every lead passes both singleton conditions.
     every_lead = not qs or length == 1
     dominance = qs and length > 2
+    too_wide = qs and c.variables > MAX_SUBSET_VARIABLES
     cap, max_degree = c.candidate_cap, c.max_degree
     seen = 0
     for prefix, psum, pgcd, last_max in _prefixes(length, top, max_degree):
@@ -200,13 +232,16 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
             continue
         if qs:
             values = sorted(set(prefix), reverse=True)
-            residues = [(a, {b % a for b in values}) for a in values]
+            # a_1 is tested as the leads are made, the other prefix weights here.
+            residues = [(a, {b % a for b in values}) for a in values[1:]]
         if not every_lead:
             # The lead divides d - q - b = total - b for b = 0 or a smaller
             # weight: ``bases`` holds total - b - e for b = 0 or a prefix
             # weight, and b = e gives the leads dividing psum.
             bases = [psum, *[psum - b for b in values]]
             by_last = [psum // k for k in range(1, psum // first + 1) if psum % k == 0]
+            at_first = {b % first for b in values}
+            at_first.add(0)
         omitted = None
         for e in lasts:
             if wf and gcd(pgcd, e) != 1:
@@ -217,11 +252,18 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
             if every_lead:
                 leads = range(lead_min, lead_max + 1)
             else:
-                leads = {q for q in by_last if q <= lead_max}
+                # The singleton condition at a_1 as the leads are made: a_1
+                # divides d - q = total (r = 0), or d - b for b = 0 or a
+                # smaller weight, that is q + total = b modulo a_1.
+                r = total % first
+                first_ok = {*at_first, e % first}
+                leads = {
+                    q for q in by_last if q <= lead_max and (not r or (q + r) % first in first_ok)
+                }
                 for v in bases:
                     v += e
                     for k in range(-(-v // lead_max), v // lead_min + 1):
-                        if v % k == 0:
+                        if v % k == 0 and (not r or (v // k + r) % first in first_ok):
                             leads.add(v // k)
             seen += len(leads)
             if seen > cap:
@@ -250,9 +292,13 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
                 leads = [q for q in leads if gcd(q, coprime_to) == 1]
             smalls = prefix + (e,)
             for q in leads:
-                fam = HypersurfaceFamily(WeightSystem((q,) + smalls), q + total)
-                if _passes_filters(fam, c):
-                    found.append(fam)
+                ws = (q,) + smalls
+                if qs:
+                    if too_wide:
+                        raise _too_many_variables(c.variables)
+                    if next(_failing_subsets(ws, q + total), None) is not None:
+                        continue
+                found.append(HypersurfaceFamily(WeightSystem(ws), q + total))
     return found
 
 

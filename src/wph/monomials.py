@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import methodcaller, mul
 from typing import Iterator, Sequence
 
@@ -340,6 +340,14 @@ class WeightedPolynomial:
         )
 
 
+def _derivative_terms(terms, i):
+    """(e * c, x^v / x_i) for each term c * x^v with e = v_i >= 1."""
+    for c, vec in terms:
+        e = vec[i]
+        if e:
+            yield c * e, vec[:i] + (e - 1,) + vec[i + 1 :]
+
+
 def partial_derivative(f: WeightedPolynomial, i: int) -> WeightedPolynomial:
     """Exact formal derivative with respect to variable ``i``.
 
@@ -348,13 +356,9 @@ def partial_derivative(f: WeightedPolynomial, i: int) -> WeightedPolynomial:
     """
     ws = f.weights.original
     i = _variable_index(i, len(ws))
-    new_terms = []
-    for c, vec in f.terms:
-        e = vec[i]
-        if e >= 1:
-            dropped = vec[:i] + (e - 1,) + vec[i + 1 :]
-            new_terms.append((c * e, dropped))
-    return WeightedPolynomial(f.weights, max(f.degree - ws[i], 0), new_terms)
+    return WeightedPolynomial(
+        f.weights, max(f.degree - ws[i], 0), list(_derivative_terms(f.terms, i))
+    )
 
 
 def euler_check(f: WeightedPolynomial) -> bool:
@@ -362,13 +366,16 @@ def euler_check(f: WeightedPolynomial) -> bool:
 
     The identity is forced for weighted-homogeneous input, so this is a
     self-test of the derivative plumbing rather than a property of ``f``.
+    Both sides are scaled by the lcm of the denominators once, so the sums
+    run over integers; a positive scale keeps every equality and every zero.
     """
-    acc: dict[ExponentVector, Fraction] = {}
-    ws = f.weights.original
-    for i, a in enumerate(ws):
-        for c, vec in partial_derivative(f, i).terms:
+    scale = lcm(*[c.denominator for c, _ in f.terms])
+    terms = [(c.numerator * (scale // c.denominator), vec) for c, vec in f.terms]
+    acc: dict[ExponentVector, int] = {}
+    for i, a in enumerate(f.weights.original):
+        for c, vec in _derivative_terms(terms, i):
             lifted = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
-            acc[lifted] = acc.get(lifted, Fraction(0)) + a * c
-    lhs = {vec: c for vec, c in acc.items() if c != 0}
-    rhs = {vec: f.degree * c for c, vec in f.terms}
+            acc[lifted] = acc.get(lifted, 0) + a * c
+    lhs = {vec: c for vec, c in acc.items() if c}
+    rhs = {vec: f.degree * c for c, vec in terms}
     return lhs == rhs

@@ -15,8 +15,10 @@ so it never has an outside witness when it fails.
 Before any larger subset, a certificate is tried (Kreuzer-Skarke's witness
 pointers). Give each index i a pointer p(i): p(i) = i if a_i divides d,
 else some j != i with a_j < d and a_i dividing d - a_j, so that
-x_i^{k_i} * x_{p(i)} has degree d for some k_i >= 1. An index whose
-singleton fails has no pointer, so such a family has no certificate.
+x_i^{k_i} * x_{p(i)} has degree d for some k_i >= 1. One table of which
+a_i divide which d - a_j gives both the singleton tests and the possible
+pointers. An index whose singleton fails has no pointer, so such a family
+has no certificate.
 
 Lemma. If the pointers of the indices with a_i not dividing d are pairwise
 distinct, every nonempty subset I satisfies the criterion.
@@ -78,18 +80,12 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
     return fam.degree in fam.weights.canonical
 
 
-def _distinct_pointers(weights, d):
-    """Can each index i with a_i not dividing d point to its own target j,
-    one with a_j < d and a_i dividing d - a_j, no two indices sharing one?
+def _distinct_pointers(targets):
+    """Can each index point to its own target, no two indices sharing one?
 
     Augmenting-path bipartite matching: ``targets[s]`` lists the targets open
-    to the s-th such index, and ``owner`` maps a target to the index holding it.
+    to the s-th index, and ``owner`` maps a target to the index holding it.
     """
-    targets = [
-        [j for j, b in enumerate(weights) if b < d and (d - b) % a == 0]
-        for a in weights
-        if d % a
-    ]
     owner = {}
 
     def claim(s, seen):
@@ -104,6 +100,12 @@ def _distinct_pointers(weights, d):
     return all(claim(s, set()) for s in range(len(targets)))
 
 
+def _too_many_variables(m):
+    return ResourceCapError(
+        f"subset criterion limited to {MAX_SUBSET_VARIABLES} variables, got {m}"
+    )
+
+
 def _failing_subsets(weights, d):
     """Failing subsets of the criterion, as diagnostics in (size, lex) order.
 
@@ -111,15 +113,23 @@ def _failing_subsets(weights, d):
     the masks of subsets that can be parents (last index below m - 1) are kept.
     """
     m = len(weights)
-    # a_i must divide d or some d - a_j; j = i adds nothing, as d - a_i = d
-    # modulo a_i.
-    remainders = [d, *[d - b for b in weights if b <= d]]
+    # One divisibility table serves the singletons and the pointers. An
+    # index with a_i dividing d passes its singleton and points to itself.
+    # Any other i passes iff some a_j equals d or it has a target: a j with
+    # a_j < d and a_i dividing d - a_j. A failed singleton has no target, so
+    # the matching fails too.
+    cone = d in weights
+    gaps = [(j, d - b) for j, b in enumerate(weights) if b < d]
+    targets = []
     for i, a in enumerate(weights):
-        if 0 not in [r % a for r in remainders]:
-            yield SubsetDiagnostic((i,), False, (), 1)
+        if d % a:
+            row = [j for j, g in gaps if g % a == 0]
+            if not row and not cone:
+                yield SubsetDiagnostic((i,), False, (), 1)
+            targets.append(row)
     _check_target_cap(d)
-    # The lemma of the module docstring; a failed singleton has no target.
-    if _distinct_pointers(weights, d):
+    # The lemma of the module docstring.
+    if _distinct_pointers(targets):
         return
     full = (1 << (d + 1)) - 1
     masks = [_closed(1, a, d, full) for a in weights[:-1]]
@@ -169,9 +179,7 @@ def quasismooth_exists(
     weights = fam.weights.canonical
     m = len(weights)
     if m > MAX_SUBSET_VARIABLES:
-        raise ResourceCapError(
-            f"subset criterion limited to {MAX_SUBSET_VARIABLES} variables, got {m}"
-        )
+        raise _too_many_variables(m)
     if is_linear_cone(fam):
         return QuasismoothReport(exists=True, is_linear_cone=True, failing_subsets=())
     failing = _failing_subsets(weights, fam.degree)

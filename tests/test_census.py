@@ -1,6 +1,8 @@
+import json
 import linecache
 import traceback
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from conftest import reference_cy_census
@@ -30,6 +32,9 @@ class IndexOnly:
 
     def __index__(self):
         return self.value
+
+
+COUNTS_FILE = Path(__file__).resolve().parents[1] / "bench" / "census_counts.json"
 
 
 def census(dim, kind=CanonicalKind.CALABI_YAU, **kwargs):
@@ -343,13 +348,28 @@ class TestGenericSearch:
 
 
 class TestPostHocVerification:
+    """The census decides on raw integers; the public predicates agree."""
+
     def test_every_returned_family_passes_predicates(self):
-        for fam in census(2, max_degree=60):
-            assert is_well_formed(fam.weights)
-            assert quasismooth_exists(fam).exists
-            assert not is_linear_cone(fam)
-            assert canonical_class(fam).kind is CanonicalKind.CALABI_YAU
-            assert fam.weights.original == fam.weights.canonical
+        for dim, max_degree, families in [(2, 60, 94), (3, 80, 1884)]:
+            found = census(dim, max_degree=max_degree)
+            assert len(found) == families
+            for fam in found:
+                assert is_well_formed(fam.weights)
+                assert quasismooth_exists(fam).exists
+                assert not is_linear_cone(fam)
+                assert canonical_class(fam).kind is CanonicalKind.CALABI_YAU
+                assert fam.weights.original == fam.weights.canonical
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_counts_match_the_recorded_table(self, dim):
+        # bench/census_counts.json holds brute-force counts for every bound
+        # up to 100; one census at 100 gives each of them.
+        table = json.loads(COUNTS_FILE.read_text(encoding="utf-8"))[f"dim{dim}"]
+        assert table["max_bound"] == 100
+        degrees = [fam.degree for fam in census(dim, max_degree=100)]
+        got = [sum(d <= bound for d in degrees) for bound in range(101)]
+        assert got == table["count_upto"]
 
     def test_filters_recheck_kind_and_well_formedness(self):
         # Neither family is a linear cone, so each stops at its own check.
@@ -366,28 +386,39 @@ class TestResourceCap:
             census(2, max_degree=300, candidate_cap=50)
 
     def test_cy_cap_threshold(self):
-        # The steps of this census number 1020: 127 prefixes walked, 303
+        # The steps of this census number 728: 127 prefixes walked, 303
         # smaller-weight tuples visited (of 478 with sum plus largest within
         # the bound; the dominance test skips the other 175 uncounted) and
-        # 590 leads kept by the singleton condition at the lead. The tests
-        # that reject leads before any family is built do not lower that count.
-        assert len(census(2, max_degree=40, candidate_cap=1020)) == 87
+        # 298 leads kept by the singleton conditions at the lead and at a_1.
+        # The tests that reject leads after those two do not lower that count.
+        assert len(census(2, max_degree=40, candidate_cap=728)) == 87
         with pytest.raises(ResourceCapError):
-            census(2, max_degree=40, candidate_cap=1019)
+            census(2, max_degree=40, candidate_cap=727)
 
     def test_cy_cap_threshold_at_the_leads(self):
-        # The elliptic census to 30 takes 172 steps: 14 prefixes, 75
-        # smaller-weight tuples and 83 leads. Its last step counted is a lead,
+        # The elliptic census to 30 takes 138 steps: 14 prefixes, 75
+        # smaller-weight tuples and 49 leads. Its last step counted is a lead,
         # so one below the threshold passes every prefix and tuple check and
         # fails at the leads.
-        assert len(census(1, max_degree=30, candidate_cap=172)) == 3
+        assert len(census(1, max_degree=30, candidate_cap=138)) == 3
         with pytest.raises(ResourceCapError) as info:
-            census(1, max_degree=30, candidate_cap=171)
+            census(1, max_degree=30, candidate_cap=137)
         frame = [
             f for f in traceback.extract_tb(info.value.__traceback__)
             if f.name == "_enumerate_calabi_yau"
         ][-1]
         assert linecache.getline(frame.filename, frame.lineno - 2).strip() == "seen += len(leads)"
+
+    def test_cy_past_the_subset_variable_cap(self):
+        # 25 weights: no Calabi-Yau tuple has d <= 24, and at 25 the first
+        # candidate, P(1^25), meets the subset criterion's variable cap.
+        assert census(23, max_degree=24) == []
+        with pytest.raises(ResourceCapError, match="limited to 24 variables, got 25"):
+            census(23, max_degree=25)
+        # Without the quasismooth filter nothing reaches the criterion.
+        found = census(23, max_degree=30, require_quasismooth=False)
+        assert len(found) == 19
+        assert all(len(fam.weights) == 25 and is_well_formed(fam.weights) for fam in found)
 
     def test_generic_cap(self):
         constraints = SearchConstraints(

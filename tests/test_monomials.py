@@ -425,3 +425,32 @@ class TestEuler:
         rng = random.Random(1729)
         for _ in range(200):
             assert euler_check(random_weighted_polynomial(rng))
+
+    @staticmethod
+    def fraction_euler_check(f):
+        """The identity summed in Fractions over ``partial_derivative``, the
+        reference for the integer sums of ``euler_check``."""
+        acc = {}
+        for i, a in enumerate(f.weights.original):
+            for c, vec in partial_derivative(f, i).terms:
+                lifted = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
+                acc[lifted] = acc.get(lifted, Fraction(0)) + a * c
+        lhs = {vec: c for vec, c in acc.items() if c != 0}
+        return lhs == {vec: f.degree * c for c, vec in f.terms}
+
+    def test_matches_the_fraction_sums(self, monkeypatch):
+        rng = random.Random(4099)
+        polys = [random_weighted_polynomial(rng) for _ in range(300)]
+        assert sum(any(c.denominator > 1 for c, _ in f.terms) for f in polys) > 250
+        for f in polys:
+            assert euler_check(f) is self.fraction_euler_check(f) is True
+
+        # A derivative that miscounts the exponent breaks the identity for both.
+        def miscounted(terms, i):
+            for c, vec in terms:
+                if vec[i]:
+                    yield c * (vec[i] + 1), vec[:i] + (vec[i] - 1,) + vec[i + 1 :]
+
+        monkeypatch.setattr(wph.monomials, "_derivative_terms", miscounted)
+        for f in polys:
+            assert euler_check(f) is self.fraction_euler_check(f) is False

@@ -1,6 +1,6 @@
 import random
 from dataclasses import astuple
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +24,16 @@ from wph import (
 from conftest import naive_quasismooth_exists, naive_quasismooth_failures
 
 weight_lists = st.lists(st.integers(min_value=1, max_value=10), min_size=2, max_size=5)
+
+
+def pointer_targets(ws, d):
+    """For each index i with a_i not dividing d, its targets: the j with
+    a_j < d and a_i dividing d - a_j."""
+    return [[j for j, b in enumerate(ws) if b < d and (d - b) % a == 0] for a in ws if d % a]
+
+
+def has_certificate(ws, d):
+    return wph.quasismooth._distinct_pointers(pointer_targets(ws, d))
 
 
 class TestLinearCone:
@@ -161,7 +171,7 @@ class TestParentMasks:
         # Certified by pointers 0 -> 1 and 1 -> 0, neither weight dividing d:
         # the cap is still checked first.
         fam = HypersurfaceFamily([3, 2], REPRESENTABLE_TARGET_CAP + 1)
-        assert wph.quasismooth._distinct_pointers((3, 2), fam.degree)
+        assert has_certificate((3, 2), fam.degree)
         for diagnostics in (False, True):
             with pytest.raises(ResourceCapError):
                 quasismooth_exists(fam, diagnostics=diagnostics)
@@ -183,7 +193,7 @@ class TestPointerCertificate:
             fast = quasismooth_exists(fam)
             assert [astuple(s) for s in full.failing_subsets] == expected, (ws, d)
             assert [astuple(s) for s in fast.failing_subsets] == expected[:1], (ws, d)
-            if wph.quasismooth._distinct_pointers(ws, d):
+            if has_certificate(ws, d):
                 assert expected == [], (ws, d)
                 certified += 1
         assert certified >= 30
@@ -200,7 +210,7 @@ class TestPointerCertificate:
             ws, d = fam.weights.canonical, fam.degree
             assert naive_quasismooth_failures(ws, d) == [], (ws, d)
             assert quasismooth_exists(fam, diagnostics=True).failing_subsets == ()
-            if not wph.quasismooth._distinct_pointers(ws, d):
+            if not has_certificate(ws, d):
                 left.append((ws, d))
         return len(census), left
 
@@ -213,10 +223,36 @@ class TestPointerCertificate:
         families, left = self.uncertified_census(3, max_degree=60)
         assert (families, len(left)) == (1292, 218)
 
+    def test_singleton_diagnostics_match_the_oracle(self):
+        # The singletons and the pointer targets come from one divisibility
+        # table; weights at or above d and repeated weights meet its edges.
+        rng = random.Random(2112)
+        failed = cones = above = 0
+        for _ in range(1500):
+            m = rng.randint(2, 8)
+            pool = [rng.randint(1, 24) for _ in range(rng.randint(1, m))]
+            ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
+            d = rng.choice([rng.randint(1, 24), rng.choice(ws)])
+            expected = [f for f in naive_quasismooth_failures(ws, d) if len(f[0]) == 1]
+            got = takewhile(
+                lambda s: len(s.subset) == 1, wph.quasismooth._failing_subsets(ws, d)
+            )
+            assert [astuple(s) for s in got] == expected, (ws, d)
+            if d not in ws:
+                full = quasismooth_exists(HypersurfaceFamily(ws, d), diagnostics=True)
+                assert [astuple(s) for s in full.failing_subsets] == (
+                    naive_quasismooth_failures(ws, d)
+                ), (ws, d)
+            failed += bool(expected)
+            cones += d in ws
+            above += ws[0] > d and d not in ws
+        assert min(failed, cones, above) >= 100
+
     def test_shared_target_is_not_a_certificate(self):
         # Both 2s point only at index 2 (3 - 1 = 2): every singleton passes,
         # but the pair {0, 1} represents no 3 and has one outside witness.
-        assert not wph.quasismooth._distinct_pointers((2, 2, 1), 3)
+        assert pointer_targets((2, 2, 1), 3) == [[2], [2]]
+        assert not has_certificate((2, 2, 1), 3)
         report = quasismooth_exists(HypersurfaceFamily([2, 2, 1], 3), diagnostics=True)
         assert [astuple(s) for s in report.failing_subsets] == [((0, 1), False, (2,), 2)]
 
