@@ -164,6 +164,7 @@ class JordanTable:
     def parse(cls, text: str) -> "JordanTable":
         """Parse the plain-text table format; ``#`` starts a comment."""
         entries: dict[int, JordanEntry] = {}
+        seen: dict[int, int] = {}  # N -> the line that gave it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -173,6 +174,9 @@ class JordanTable:
             if len(parts) < 2:
                 raise ValidationError(f"{where}: expected 'N value provenance'")
             n = _text_int(parts[0], where)
+            if n in seen:
+                raise ValidationError(f"{where}: N={n} repeats the entry of line {seen[n]}")
+            seen[n] = lineno
             provenance = parts[2] if len(parts) == 3 else "user-supplied"
             entries[n] = JordanEntry(as_rational(parts[1], where), provenance)
         return cls(entries)

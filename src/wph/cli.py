@@ -7,8 +7,10 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from .errors import (
 from .monomials import (
     PolynomialSupport,
     WeightedPolynomial,
-    _exact_int_rows,
     euler_check,
     monomial_existence_check,
 )
@@ -110,10 +111,10 @@ def _write_json(value, write, indent: str = "") -> None:
 
     With an indent the json module encodes element by element in Python.
     Here dicts with string keys and non-empty lists recurse, and everything
-    else is one ``json.dumps`` call. An integer matrix, such as the support
-    echo, is encoded compactly by the C encoder in blocks of rows and then
-    re-indented by string replacement, which is exact because the compact
-    text holds nothing but digits, minus signs, commas and brackets.
+    else is one ``json.dumps`` call. Lists go in blocks of rows. A block of
+    rows of one width w >= 1 that flattens to exact ints, such as the support
+    echo, is one ``%`` of a template with w indented ``%d`` fields per row,
+    built once per block shape; any other block is written item by item.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
@@ -125,23 +126,24 @@ def _write_json(value, write, indent: str = "") -> None:
         write("\n" + indent + "}")
     elif isinstance(value, (list, tuple)) and value:
         sep = "[\n" + inner
-        if _exact_int_rows(value) and min(map(len, value)) > 0:
-            entry = inner + "  "
-            entry_sep = ",\n" + entry
-            row_sep = "]" + entry_sep + "["
-            indented_row_sep = "\n" + inner + "],\n" + inner + "[\n" + entry
-            for start in range(0, len(value), _MATRIX_BLOCK_ROWS):
-                block = json.dumps(
-                    value[start : start + _MATRIX_BLOCK_ROWS], separators=(",", ":")
-                )
-                body = block[2:-2].replace(",", entry_sep).replace(row_sep, indented_row_sep)
-                write(sep + "[\n" + entry + body + "\n" + inner + "]")
+        templates: dict[tuple[int, int], str] = {}
+        for start in range(0, len(value), _MATRIX_BLOCK_ROWS):
+            block = value[start : start + _MATRIX_BLOCK_ROWS]
+            widths = set(map(len, block)) if set(map(type, block)) <= {list, tuple} else ()
+            flat = tuple(chain.from_iterable(block)) if len(widths) == 1 else ()
+            if flat and set(map(type, flat)) == {int}:
+                shape = (len(block[0]), len(block))
+                if shape not in templates:
+                    entry = ",\n" + inner + "  "
+                    row = "[" + entry[1:] + entry.join(["%d"] * shape[0]) + "\n" + inner + "]"
+                    templates[shape] = (",\n" + inner).join([row] * shape[1])
+                write(sep + templates[shape] % flat)
                 sep = ",\n" + inner
-        else:
-            for item in value:
-                write(sep)
-                _write_json(item, write, inner)
-                sep = ",\n" + inner
+            else:
+                for item in block:
+                    write(sep)
+                    _write_json(item, write, inner)
+                    sep = ",\n" + inner
         write("\n" + indent + "]")
     else:
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
@@ -316,10 +318,19 @@ def cmd_check(args):
     return build_check_report(fam, _load_table(args)), _render_check
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of ``pairs``; a ValidationError names a key given twice."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        repeated = Counter(key for key, _ in pairs).most_common(1)[0][0]
+        raise ValidationError(f"support file repeats the key {repeated!r}")
+    return data
+
+
 def load_support_file(path: str | Path):
     """Parse a support file: weights, degree, monomials, optional coefficients."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read support file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -331,6 +342,8 @@ def load_support_file(path: str | Path):
     for key in ("weights", "degree", "monomials"):
         if key not in data:
             raise ValidationError(f"support file is missing the {key!r} field")
+    if not isinstance(data["weights"], list):
+        raise ValidationError("support file field 'weights' must be a list of integers")
     fam = HypersurfaceFamily(WeightSystem(data["weights"]), data["degree"])
     if not isinstance(data["monomials"], list):
         raise ValidationError("support file field 'monomials' must be a list of rows")
@@ -630,6 +643,10 @@ def main(argv=None) -> int:
         _check_printable(payload)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # The frames that held the partial result are gone by now.
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

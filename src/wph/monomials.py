@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, cycle, repeat
 from math import gcd, lcm
-from operator import methodcaller, mul
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -104,29 +104,28 @@ def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector
     return capped()
 
 
-def _exact_int_rows(rows) -> bool:
-    """Are ``rows`` lists or tuples of exact ints (no bools, no int subclasses)?"""
-    return set(map(type, rows)) <= {list, tuple} and set(
-        map(type, chain.from_iterable(rows))
-    ) <= {int}
-
-
 def _checked_rows(rows, weights: Sequence[int], degree: int) -> tuple[ExponentVector, ...]:
     """The rows as exponent tuples; raises ValidationError on the first defect.
 
-    A list or tuple of :func:`_exact_int_rows` is checked in passes that run
-    in C: length, sign, weighted degree and distinctness. Other input, and a
-    support those passes reject, is walked row by row to name the defect.
+    A list or tuple of list or tuple rows is flattened once and checked in
+    passes that run in C: row lengths, then over the flat tuple exact ints
+    (no bools, no int subclasses), signs and weighted degrees, then
+    distinctness. Other input, and a support those passes reject, is walked
+    row by row to name the defect.
     """
-    if type(rows) in (list, tuple) and _exact_int_rows(rows):
-        vecs = tuple(map(tuple, rows))
+    if type(rows) in (list, tuple) and set(map(type, rows)) <= {list, tuple}:
+        flat = tuple(chain.from_iterable(rows))
         if (
-            set(map(len, vecs)) <= {len(weights)}
-            and min(chain.from_iterable(vecs), default=0) >= 0
-            and set(map(sum, map(map, repeat(mul), repeat(weights), vecs))) <= {degree}
-            and len(set(vecs)) == len(vecs)
+            set(map(len, rows)) <= {len(weights)}
+            and set(map(type, flat)) <= {int}
+            and min(flat, default=0) >= 0
+            # Every row has len(weights) entries, so that many products are one row's terms.
+            and set(map(sum, zip(*[map(mul, flat, cycle(weights))] * len(weights)))) <= {degree}
         ):
-            return vecs
+            del flat  # held beside the row tuples, it would raise the peak memory
+            vecs = tuple(map(tuple, rows))
+            if len(set(vecs)) == len(vecs):
+                return vecs
     parsed = []
     try:
         indexed = enumerate(rows)
@@ -183,7 +182,7 @@ class PolynomialSupport:
             raise ValidationError("support must contain at least one monomial")
         object.__setattr__(self, "rows", vecs)
         # A row with at most two nonzero exponents has at least m - 2 zeros.
-        sparse = map((len(self.family.weights) - 2).__le__, map(methodcaller("count", 0), vecs))
+        sparse = map((len(self.family.weights) - 2).__le__, map(tuple.count, vecs, repeat(0)))
         object.__setattr__(self, "sparse_rows", tuple(compress(vecs, sparse)))
 
     def __len__(self) -> int:

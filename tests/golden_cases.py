@@ -130,6 +130,12 @@ CASES = {
     "error_support_not_json": ["symmetry", "inputs/not_json.json"],
     "error_support_top_level_list": ["symmetry", "inputs/top_level_list.json"],
     "error_support_file_missing": ["symmetry", "missing.json"],
+    "error_jordan_table_repeated_n": [
+        "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table",
+        "inputs/jordan_repeated_n.txt",
+    ],
+    "error_support_repeated_key": ["symmetry", "inputs/repeated_key.json", "--json"],
+    "error_support_weights_not_list": ["symmetry", "inputs/weights_text.json"],
     "error_jordan_table_missing": [
         "check", "--weights", "3,1,1", "--degree", "6", "--jordan-table", "missing.txt",
     ],

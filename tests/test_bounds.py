@@ -104,6 +104,18 @@ class TestJordanTable:
             JordanTable.parse("3 360 ok\n4 twelve bad\n")
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 360 first\n3 720 second\n", "line 2: N=3 repeats the entry of line 1"),
+            ("3 360 a\n4 25920 b\n# 3 1\n03 360 same value\n", "line 4: N=3 repeats .* line 1"),
+            ("1 1 pinned\n1 1 again\n", "line 2: N=1 repeats the entry of line 1"),
+        ],
+    )
+    def test_parse_rejects_a_repeated_n(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            JordanTable.parse(text)
+
+    @pytest.mark.parametrize(
         "line, token",
         [
             ("1_0 7 a", "1_0"),

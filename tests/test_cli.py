@@ -273,6 +273,29 @@ class TestSymmetry:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"weights": [1,1,1], "degree": 3, "monomials": [[3,0,0]], "weights": [2,2,2]}',
+             "weights"),
+            ('{"weights": [1,1,1], "degree": 3, "monomials": [[3,0,0]], '
+             '"coefficients": [{"p": 1, "p": 2}]}', "p"),
+        ],
+    )
+    def test_repeated_keys_rejected(self, capsys, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "symmetry", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: support file repeats the key {key!r}\n"
+
+    @pytest.mark.parametrize("weights", ["111", 1, {"a": 1}, None])
+    def test_weights_must_be_a_list(self, capsys, tmp_path, weights):
+        data = {"weights": weights, "degree": 3, "monomials": [[3, 0, 0]]}
+        code, out, err = run(capsys, "symmetry", write_support(tmp_path, "w.json", data))
+        assert (code, out) == (2, "")
+        assert err == "error: support file field 'weights' must be a list of integers\n"
+
     def test_missing_field(self, capsys, tmp_path):
         path = write_support(tmp_path, "nofield.json", {"weights": [1, 1]})
         code, _, err = run(capsys, "symmetry", path)
@@ -421,6 +444,15 @@ class TestJordanTableFlag:
         assert code == 2 and out == ""
         assert "Jordan table line 2: '1_0' is not an integer" in err
 
+    def test_repeated_n_rejected(self, capsys, tmp_path):
+        path = tmp_path / "jordan.txt"
+        path.write_text("# header\n3 360 first\n\n3 720 second\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: Jordan table line 4: N=3 repeats the entry of line 2\n"
+
     def test_table_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "jordan.txt"
         path.write_bytes(b"3 360 caf\xe9\n")
@@ -468,6 +500,22 @@ class TestUsage:
         assert out == ""
         assert f"unrecognized arguments: {argv[-2]}" in err
 
+
+    @pytest.mark.parametrize(
+        "layer, argv",
+        [
+            ("quasismooth_exists", ["check", "--weights", "1,1,1", "--degree", "4", "--json"]),
+            ("lin_finiteness", ["bound", "--weights", "1,1,1", "--degree", "4"]),
+            ("enumerate_families", ["enumerate", "--dim", "1", "--json"]),
+        ],
+    )
+    def test_out_of_memory_is_exit_3(self, capsys, monkeypatch, layer, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(wph.cli, layer, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "resource cap exceeded: out of memory\n")
 
     def test_internal_error_is_reported_and_raised(self, capsys, monkeypatch):
         def broken(fam):
@@ -575,6 +623,10 @@ _values = st.recursive(
 )
 
 
+class _SubInt(int):
+    pass
+
+
 class TestIndentedWriter:
     """``_write_json`` writes what ``json.dumps(indent=2, sort_keys=True)`` does."""
 
@@ -596,3 +648,31 @@ class TestIndentedWriter:
     def test_non_string_keys_fall_back(self):
         value = {"a": {1: [1, 2], 2: None}, "b": {None: 1}}
         assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_uniform_widths(self, rows, width):
+        matrix = [[(i * 31 + j * 7) % 23 - 5 for j in range(width)] for i in range(rows)]
+        for value in (matrix, tuple(map(tuple, matrix))):
+            assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "defect", [[1, 2], [], [1, True, 0], [1, _SubInt(2), 0], (1, 2, 3, 4), "abc", 7]
+    )
+    def test_only_the_defective_block_falls_back(self, defect, monkeypatch):
+        matrix = [[i % 5, -(2**70) - i, 2**64 + i] for i in range(3000)]
+        matrix[1500] = defect
+        real = wph.cli._write_json
+        rows_walked = []
+
+        def counted(value, write, indent=""):
+            if indent == "  ":
+                rows_walked.append(value)
+            real(value, write, indent)
+
+        monkeypatch.setattr(wph.cli, "_write_json", counted)
+        for value in (matrix, tuple(map(tuple, matrix[:1500])) + (defect,) + tuple(matrix[1501:])):
+            rows_walked.clear()
+            assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+            # Rows 1024-2047 are the second block: only it is written row by row.
+            assert rows_walked == list(value[1024:2048])

@@ -154,10 +154,11 @@ def _random_rows(rng: random.Random) -> tuple[HypersurfaceFamily, list[list[int]
     return HypersurfaceFamily(ws, d), rows
 
 
-def _inject(rng: random.Random, rows: list, kind: str) -> list:
-    """``rows`` with one defect of the given kind at a random place."""
+def _inject(rng: random.Random, rows: list, kind: str, k: int | None = None) -> list:
+    """``rows`` with one defect of the given kind in row ``k`` (default random)."""
     rows = [list(r) for r in rows]
-    k = rng.randrange(len(rows))
+    if k is None:
+        k = rng.randrange(len(rows))
     j = rng.randrange(len(rows[k]))
     if kind == "bool":
         rows[k][j] = rng.choice([True, False])
@@ -256,6 +257,25 @@ class TestSupportPaths:
         assert _error_text(fam, iter(bad)) == message
         if kind != "empty":  # no terms at all is the zero polynomial
             assert _polynomial_error_text(fam, bad) == message
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["bool", "float", "str", "negative", "length", "degree", "duplicate", "non-iterable"],
+    )
+    def test_defect_in_the_last_of_many_rows(self, kind):
+        # 1 365 rows, more than one 1 024-row block of the CLI echo of a support.
+        fam = HypersurfaceFamily([1, 1, 1, 1, 1], 11)
+        rows = [list(r) for r in enumerate_monomials(fam.weights, 11)]
+        last = len(rows) - 1
+        bad = _inject(random.Random(kind), rows, kind, k=last)
+        message = _error_text(fam, bad)
+        assert _error_text(fam, tuple(bad)) == message
+        assert _error_text(fam, iter(bad)) == message
+        assert _polynomial_error_text(fam, bad) == message
+        if kind == "duplicate":
+            assert message == "support rows must be distinct"
+        else:
+            assert f"row {last} " in message
 
     @pytest.mark.parametrize(
         "rows, message",
