@@ -34,28 +34,31 @@ well-formedness tests only under ``require_well_formed``. With a single
 smaller weight a_1 divides R = a_1, so every lead passes both singleton
 conditions and neither is tested.
 
-Under ``require_quasismooth`` a lead that passes the raw tests is decided on
-its canonical tuple (a_0, a_1, ...) and d by the core that
-``quasismooth_exists`` runs: it fails iff ``_failing_subsets`` of
-``wph.quasismooth`` yields a subset. Above 24 weights the first such lead
-raises ResourceCapError, as ``quasismooth_exists`` does. A WeightSystem and a
-HypersurfaceFamily are built only for the families emitted. The rest of the
-filter chain of the generic search holds by construction:
+Both searches decide on raw canonical tuples and build a WeightSystem and a
+HypersurfaceFamily only for the families emitted. A candidate is quasismooth
+iff ``_failing_subsets`` of ``wph.quasismooth``, the core of
+``quasismooth_exists``, yields nothing; above 24 weights the first candidate
+decided raises ResourceCapError. The other predicates hold by construction
+or are tested exactly:
 
-* no candidate is a linear cone. Proof: R >= 1, so d = a_0 + R > a_0, and
-  a_0 is the largest weight; a cone needs a weight equal to d;
-* every candidate is Calabi-Yau: d is the weight sum;
-* the raw well-formedness test is exactly well-formedness. Proof: the
-  omit-one gcd at a_0 is the gcd of the smaller weights, and the one at a
-  smaller weight a_i is gcd(a_0, g_i), with g_i the gcd of the smaller
-  weights other than a_i. All of them are 1 iff the smaller weights are
-  coprime and a_0 is coprime to every g_i, that is to their lcm. (With a
-  single smaller weight its g_i is the gcd of no weights, 0, and a_0 must
-  be 1.)
+* no Calabi-Yau candidate is a linear cone. Proof: R >= 1, so
+  d = a_0 + R > a_0, and a_0 is the largest weight; a cone needs a weight
+  equal to d. A generic candidate is a cone iff d is one of its weights;
+* every candidate has the kind asked for. Proof: with s the weight sum, a
+  Calabi-Yau d is s, a Fano kind tries only d <= s - 1 and a general-type
+  kind only d >= s + 1, so r = d - s has the sign ``canonical_class`` reads;
+* the raw well-formedness test of the Calabi-Yau search is exactly
+  well-formedness. Proof: the omit-one gcd at a_0 is the gcd of the smaller
+  weights, and the one at a smaller weight a_i is gcd(a_0, g_i), with g_i
+  the gcd of the smaller weights other than a_i. All of them are 1 iff the
+  smaller weights are coprime and a_0 is coprime to every g_i, that is to
+  their lcm. (With a single smaller weight its g_i is the gcd of no
+  weights, 0, and a_0 must be 1.) The generic search tests the omit-one
+  gcds of each tuple once, for all its degrees.
 
 Every raw quasismooth test is a necessary condition and the decision is the
-subset criterion itself, so the census emits exactly the families the public
-predicates accept; the raw tests change its speed, never its result.
+subset criterion itself, so both searches emit exactly the families the public
+predicates accept; the raw tests change their speed, never their result.
 
 The candidate cap counts the steps of the Calabi-Yau search: each prefix of
 smaller weights (all but the last) it walks, each tuple of smaller weights it
@@ -66,9 +69,8 @@ tuple the dominance test skips is not visited and is not counted; a prefix
 costs a bounded amount of work whether or not any of its tuples is visited,
 which its own step pays for. The search raises ResourceCapError once the
 count passes the cap, before it does the work counted. The generic search
-(another canonical kind, or none) raises up front when its (weights, degree)
-pairs number more than the cap; with a Fano or general-type kind it tries
-only the degrees below or above the weight sum.
+raises up front when its (weights, degree) pairs number more than the cap,
+a count it stops building once it passes the cap (``_check_pair_count``).
 
 The measured census time against the degree bound is in ``bench/README.md``
 (section "Census scaling", from ``python3 bench/scaling.py``).
@@ -76,27 +78,13 @@ The measured census time against the degree bound is in ``bench/README.md``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import ResourceCapError, ValidationError
-from .quasismooth import (
-    MAX_SUBSET_VARIABLES,
-    _failing_subsets,
-    _too_many_variables,
-    is_linear_cone,
-    quasismooth_exists,
-)
-from .weights import (
-    CanonicalKind,
-    HypersurfaceFamily,
-    WeightSystem,
-    as_int,
-    canonical_class,
-    is_well_formed,
-    omit_one_gcds,
-)
+from .quasismooth import _failing_subsets
+from .weights import CanonicalKind, HypersurfaceFamily, WeightSystem, as_int, omit_one_gcds
 
 DEFAULT_CANDIDATE_CAP = 50_000_000
 
@@ -144,18 +132,6 @@ class SearchConstraints:
         return self.max_weight if self.max_weight is not None else self.max_degree
 
 
-def _passes_filters(fam: HypersurfaceFamily, c: SearchConstraints) -> bool:
-    if c.exclude_linear_cones and is_linear_cone(fam):
-        return False
-    if c.canonical_kind is not None and canonical_class(fam).kind is not c.canonical_kind:
-        return False
-    if c.require_well_formed and not is_well_formed(fam.weights):
-        return False
-    if c.require_quasismooth and not quasismooth_exists(fam).exists:
-        return False
-    return True
-
-
 def _cap_exceeded(c: SearchConstraints) -> ResourceCapError:
     return ResourceCapError(
         f"candidate cap {c.candidate_cap} exceeded during search; raise it to proceed"
@@ -164,21 +140,26 @@ def _cap_exceeded(c: SearchConstraints) -> ResourceCapError:
 
 def _prefixes(length: int, top: int, max_degree: int):
     """(prefix, sum, gcd, largest last weight) for the smaller weights but the
-    last, over the tuples with 2 a_1 + a_2 + ... <= max_degree."""
+    last, over the tuples with 2 a_1 + a_2 + ... <= max_degree, in lex order.
+    An explicit stack, not recursion, so that no length meets the recursion
+    limit; children are pushed largest first."""
     if length == 1:
         yield (), 0, 0, min(top, max_degree // 2)
         return
-
-    def rec(prefix, total, g, bound, room):
+    stack = [
+        ((first,), first, first, max_degree - 2 * first)
+        for first in range(min(top, (max_degree - length + 1) // 2), 0, -1)
+    ]
+    while stack:
+        prefix, total, g, room = stack.pop()
         left = length - len(prefix)
         if left == 1:
-            yield prefix, total, g, min(bound, room)
-            return
-        for e in range(1, min(bound, room - left + 1) + 1):
-            yield from rec(prefix + (e,), total + e, gcd(g, e), e, room - e)
-
-    for first in range(1, min(top, (max_degree - length + 1) // 2) + 1):
-        yield from rec((first,), first, first, first, max_degree - 2 * first)
+            yield prefix, total, g, min(prefix[-1], room)
+            continue
+        stack.extend(
+            (prefix + (e,), total + e, gcd(g, e), room - e)
+            for e in range(min(prefix[-1], room - left + 1), 0, -1)
+        )
 
 
 def _dominated_lasts(first, rest, tail, hi):
@@ -211,7 +192,6 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
     # With one smaller weight every lead passes both singleton conditions.
     every_lead = not qs or length == 1
     dominance = qs and length > 2
-    too_wide = qs and c.variables > MAX_SUBSET_VARIABLES
     cap, max_degree = c.candidate_cap, c.max_degree
     seen = 0
     for prefix, psum, pgcd, last_max in _prefixes(length, top, max_degree):
@@ -293,42 +273,53 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
             smalls = prefix + (e,)
             for q in leads:
                 ws = (q,) + smalls
-                if qs:
-                    if too_wide:
-                        raise _too_many_variables(c.variables)
-                    if next(_failing_subsets(ws, q + total), None) is not None:
-                        continue
+                if qs and next(_failing_subsets(ws, q + total), None) is not None:
+                    continue
                 found.append(HypersurfaceFamily(WeightSystem(ws), q + total))
     return found
 
 
-def _enumerate_generic(c: SearchConstraints) -> list[HypersurfaceFamily]:
-    m = c.variables
-    max_w = c.effective_max_weight
-    raw = comb(max_w + m - 1, m) * c.max_degree
-    if raw > c.candidate_cap:
+def _check_pair_count(c: SearchConstraints) -> None:
+    """Raise if the generic search has more (weights, degree) pairs than the cap.
+
+    They number C(a + b, b) * max_degree, with {a, b} = {m, max_weight - 1}
+    and b the smaller. The partial binomials C(a + i, i) grow with i, so the
+    loop stops at the first one whose pairs pass the cap."""
+    a, b = sorted((c.variables, c.effective_max_weight - 1), reverse=True)
+    pairs = c.max_degree
+    for i in range(1, b + 1):
+        if pairs > c.candidate_cap:
+            break
+        pairs = pairs * (a + i) // i
+    if pairs > c.candidate_cap:
         raise ResourceCapError(
-            f"search would examine {raw} (weights, degree) pairs, above the cap "
-            f"{c.candidate_cap}; raise the cap or tighten the constraints"
+            f"search would examine more than {c.candidate_cap} (weights, degree) pairs, "
+            "the cap; raise the cap or tighten the constraints"
         )
-    # Well-formedness depends on the weights alone, so it is tested once per
-    # weight system, not once per degree.
-    per_degree = replace(c, require_well_formed=False)
+
+
+def _enumerate_generic(c: SearchConstraints) -> list[HypersurfaceFamily]:
+    _check_pair_count(c)
     found = []
-    for tup in combinations_with_replacement(range(max_w, 0, -1), m):
-        w = WeightSystem(tup)
-        if c.require_well_formed and not is_well_formed(w):
+    # Non-increasing tuples, each already canonical.
+    for ws in combinations_with_replacement(range(c.effective_max_weight, 0, -1), c.variables):
+        # Well-formedness depends on the weights alone, so it is tested once
+        # per tuple, not once per degree. Every omit-one gcd is at least 1.
+        if c.require_well_formed and max(omit_one_gcds(ws)) > 1:
             continue
         # A Fano degree is below the weight sum, a general-type one above it.
         degrees = range(1, c.max_degree + 1)
         if c.canonical_kind is CanonicalKind.FANO:
-            degrees = degrees[: sum(tup) - 1]
+            degrees = degrees[: sum(ws) - 1]
         elif c.canonical_kind is CanonicalKind.GENERAL_TYPE:
-            degrees = degrees[sum(tup) :]
-        for d in degrees:
-            fam = HypersurfaceFamily(w, d)
-            if _passes_filters(fam, per_degree):
-                found.append(fam)
+            degrees = degrees[sum(ws) :]
+        if c.exclude_linear_cones:
+            degrees = [d for d in degrees if d not in ws]
+        if c.require_quasismooth:
+            degrees = [d for d in degrees if next(_failing_subsets(ws, d), None) is None]
+        if degrees:
+            w = WeightSystem(ws)
+            found.extend(HypersurfaceFamily(w, d) for d in degrees)
     return found
 
 

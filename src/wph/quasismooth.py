@@ -8,7 +8,11 @@ nonempty index subset I one of the following holds:
 (b) at least |I| indices j outside I have d - a_j representable that way.
 
 One traversal visits the subsets in increasing size, lexicographically within
-a size, and yields each failing one as a :class:`SubsetDiagnostic`. A
+a size, and yields each failing one as a :class:`SubsetDiagnostic`. It is the
+one quasismooth decision: ``quasismooth_exists`` and both census searches run
+it on a canonical weight tuple. More than ``MAX_SUBSET_VARIABLES`` (24)
+weights raise :class:`ResourceCapError` before anything else, the scan being
+exponential in the variable count; a linear cone then yields nothing. A
 singleton {i} reduces to divisibility (d or some d - a_j a multiple of a_i),
 so it never has an outside witness when it fails.
 
@@ -100,12 +104,6 @@ def _distinct_pointers(targets):
     return all(claim(s, set()) for s in range(len(targets)))
 
 
-def _too_many_variables(m):
-    return ResourceCapError(
-        f"subset criterion limited to {MAX_SUBSET_VARIABLES} variables, got {m}"
-    )
-
-
 def _failing_subsets(weights, d):
     """Failing subsets of the criterion, as diagnostics in (size, lex) order.
 
@@ -113,18 +111,23 @@ def _failing_subsets(weights, d):
     the masks of subsets that can be parents (last index below m - 1) are kept.
     """
     m = len(weights)
+    if m > MAX_SUBSET_VARIABLES:
+        raise ResourceCapError(
+            f"subset criterion limited to {MAX_SUBSET_VARIABLES} variables, got {m}"
+        )
+    if d in weights:
+        return
     # One divisibility table serves the singletons and the pointers. An
     # index with a_i dividing d passes its singleton and points to itself.
-    # Any other i passes iff some a_j equals d or it has a target: a j with
-    # a_j < d and a_i dividing d - a_j. A failed singleton has no target, so
-    # the matching fails too.
-    cone = d in weights
+    # Any other i passes iff it has a target: a j with a_j < d and a_i
+    # dividing d - a_j. A failed singleton has no target, so the matching
+    # fails too.
     gaps = [(j, d - b) for j, b in enumerate(weights) if b < d]
     targets = []
     for i, a in enumerate(weights):
         if d % a:
             row = [j for j, g in gaps if g % a == 0]
-            if not row and not cone:
+            if not row:
                 yield SubsetDiagnostic((i,), False, (), 1)
             targets.append(row)
     _check_target_cap(d)
@@ -176,12 +179,8 @@ def quasismooth_exists(
     are rejected (the scan is exponential in the variable count), as are
     degrees beyond the representability cap.
     """
-    weights = fam.weights.canonical
-    m = len(weights)
-    if m > MAX_SUBSET_VARIABLES:
-        raise _too_many_variables(m)
-    if is_linear_cone(fam):
-        return QuasismoothReport(exists=True, is_linear_cone=True, failing_subsets=())
-    failing = _failing_subsets(weights, fam.degree)
+    failing = _failing_subsets(fam.weights.canonical, fam.degree)
     found = tuple(failing if diagnostics else islice(failing, 1))
-    return QuasismoothReport(exists=not found, is_linear_cone=False, failing_subsets=found)
+    return QuasismoothReport(
+        exists=not found, is_linear_cone=is_linear_cone(fam), failing_subsets=found
+    )

@@ -115,6 +115,14 @@ CASES = {
         "enumerate", "--dim", "1", "--canonical", "fano", "--max-degree", "12",
         "--max-weight", "5",
     ],
+    "enumerate_general_max_weight_json": [
+        "enumerate", "--dim", "1", "--canonical", "general", "--max-degree", "14",
+        "--max-weight", "4", "--json",
+    ],
+    "enumerate_fano_linear_cones_text": [
+        "enumerate", "--dim", "1", "--canonical", "fano", "--max-degree", "10",
+        "--max-weight", "4", "--allow-linear-cones",
+    ],
     "enumerate_filters_off_text": [
         "enumerate", "--dim", "1", "--max-degree", "8", "--max-weight", "3",
         "--no-quasismooth", "--allow-linear-cones",
@@ -145,6 +153,14 @@ CASES = {
         "--max-candidates", "50", "--json",
     ],
     "error_fermat_dimension_cap": ["fermat", "--dim", "301", "--degree", "3"],
+    # the pair count has millions of digits: the check stops once it passes
+    "error_generic_pair_cap": [
+        "enumerate", "--dim", "4000000", "--max-weight", "100000", "--max-degree", "3",
+    ],
+    # 1 001 smaller weights walked without recursion, then the variable cap
+    "error_cy_subset_variable_cap": [
+        "enumerate", "--dim", "1000", "--canonical", "cy", "--max-degree", "1003",
+    ],
     # integers past the interpreter's 4300-digit limit for int <-> str: an
     # input that cannot be read exits 2, a result too long to print exits 3
     "error_support_degree_too_long": ["symmetry", "inputs/degree_too_long.json"],

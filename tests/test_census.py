@@ -1,5 +1,6 @@
 import json
 import linecache
+import time
 import traceback
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -77,6 +78,25 @@ def brute_force_cy(
         if require_quasismooth and not quasismooth_exists(fam).exists:
             continue
         out.append(fam)
+    out.sort(key=lambda f: (f.degree, f.weights.canonical))
+    return out
+
+
+def brute_force_generic(dim, kind, max_degree, max_weight, **switches):
+    """Every (weights, degree) pair in range, public predicates only."""
+    out = []
+    for ws in combinations_with_replacement(range(1, max_weight + 1), dim + 2):
+        for d in range(1, max_degree + 1):
+            fam = HypersurfaceFamily(tuple(reversed(ws)), d)
+            if kind is not None and canonical_class(fam).kind is not kind:
+                continue
+            if switches["exclude_linear_cones"] and is_linear_cone(fam):
+                continue
+            if switches["require_well_formed"] and not is_well_formed(fam.weights):
+                continue
+            if switches["require_quasismooth"] and not quasismooth_exists(fam).exists:
+                continue
+            out.append(fam)
     out.sort(key=lambda f: (f.degree, f.weights.canonical))
     return out
 
@@ -208,6 +228,29 @@ class TestAgainstBruteForce:
         assert all(max(ws) <= max_weight for _, ws in got)
         assert got
 
+    @pytest.mark.parametrize("dim, max_degree, max_weight", [(0, 16, 8), (1, 14, 6), (2, 12, 5)])
+    @pytest.mark.parametrize(
+        "kind", [None, CanonicalKind.FANO, CanonicalKind.GENERAL_TYPE], ids=["any", "fano", "gt"]
+    )
+    @pytest.mark.parametrize("well_formed", [True, False])
+    @pytest.mark.parametrize("quasismooth", [True, False])
+    @pytest.mark.parametrize("linear_cones", [True, False])
+    def test_generic_every_filter_combination(
+        self, dim, max_degree, max_weight, kind, well_formed, quasismooth, linear_cones
+    ):
+        switches = dict(
+            require_well_formed=well_formed,
+            require_quasismooth=quasismooth,
+            exclude_linear_cones=linear_cones,
+        )
+        got = census(dim, kind, max_degree=max_degree, max_weight=max_weight, **switches)
+        expected = brute_force_generic(dim, kind, max_degree, max_weight, **switches)
+        assert as_pairs(got) == as_pairs(expected)
+        assert all(f.weights.original == f.weights.canonical for f in got)
+        # A Fano point P(a, b) in range that is well-formed or quasismooth is
+        # a linear cone; every other combination finds families.
+        assert got or (dim == 0 and kind is CanonicalKind.FANO and linear_cones)
+
 
 class TestAgainstReferenceEnumerator:
     """The lead loop against the divisor-table census it replaced."""
@@ -251,13 +294,13 @@ class TestGenericSearch:
     @pytest.mark.parametrize("kind", [CanonicalKind.FANO, CanonicalKind.GENERAL_TYPE])
     def test_kind_matches_brute_force(self, kind, monkeypatch):
         tried = []
-        original = wph.census._passes_filters
+        original = wph.census._failing_subsets
 
-        def recorded(fam, c):
-            tried.append(fam)
-            return original(fam, c)
+        def recorded(ws, d):
+            tried.append(HypersurfaceFamily(ws, d))
+            return original(ws, d)
 
-        monkeypatch.setattr(wph.census, "_passes_filters", recorded)
+        monkeypatch.setattr(wph.census, "_failing_subsets", recorded)
         constraints = SearchConstraints(
             dimension=1, canonical_kind=kind, max_degree=14, max_weight=5
         )
@@ -275,7 +318,7 @@ class TestGenericSearch:
                     expected.append((d, fam.weights.canonical))
         assert got == sorted(expected)
         assert got
-        # Only degrees on the kind's side of the weight sum reach the filters.
+        # Only degrees on the kind's side of the weight sum reach the decision.
         assert tried
         assert all(canonical_class(fam).kind is kind for fam in tried)
 
@@ -371,14 +414,6 @@ class TestPostHocVerification:
         got = [sum(d <= bound for d in degrees) for bound in range(101)]
         assert got == table["count_upto"]
 
-    def test_filters_recheck_kind_and_well_formedness(self):
-        # Neither family is a linear cone, so each stops at its own check.
-        general_type = HypersurfaceFamily([1, 1, 1], 5)
-        not_well_formed = HypersurfaceFamily([2, 2, 2, 1], 7)
-        assert canonical_class(not_well_formed).kind is CanonicalKind.CALABI_YAU
-        assert not wph.census._passes_filters(general_type, cy_constraints(1, 20))
-        assert not wph.census._passes_filters(not_well_formed, cy_constraints(2, 20))
-
 
 class TestResourceCap:
     def test_cy_cap(self):
@@ -419,6 +454,37 @@ class TestResourceCap:
         found = census(23, max_degree=30, require_quasismooth=False)
         assert len(found) == 19
         assert all(len(fam.weights) == 25 and is_well_formed(fam.weights) for fam in found)
+
+    def test_generic_cap_threshold(self):
+        # C(5 + 2, 3) = 35 weight tuples times 14 degrees: 490 pairs.
+        fields = dict(dimension=1, canonical_kind=None, max_degree=14, max_weight=5)
+        assert enumerate_families(SearchConstraints(**fields, candidate_cap=490))
+        with pytest.raises(ResourceCapError, match="more than 489 "):
+            enumerate_families(SearchConstraints(**fields, candidate_cap=489))
+
+    def test_generic_cap_check_is_bounded(self):
+        # The exact pair count has millions of digits; the check stops at the
+        # second factor of the binomial.
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="more than 50000000 "):
+            census(4_000_000, None, max_weight=100_000, max_degree=3)
+        assert time.perf_counter() - start < 5
+
+    def test_generic_past_the_subset_variable_cap(self):
+        # P(1^25) at d = 1 is a linear cone and is dropped; d = 2 reaches the
+        # subset criterion's variable cap.
+        assert census(23, None, max_weight=1, max_degree=1) == []
+        with pytest.raises(ResourceCapError, match="limited to 24 variables, got 25"):
+            census(23, None, max_weight=1, max_degree=2)
+        found = census(23, None, max_weight=1, max_degree=2, require_quasismooth=False)
+        assert as_pairs(found) == [(2, (1,) * 25)]
+
+    def test_cy_prefix_walk_past_the_recursion_limit(self):
+        # 2001 smaller weights, each prefix one longer than the last.
+        found = census(2000, max_degree=2003, require_quasismooth=False)
+        assert as_pairs(found) == [(2002, (1,) * 2002), (2003, (2,) + (1,) * 2001)]
+        with pytest.raises(ResourceCapError, match="limited to 24 variables, got 2002"):
+            census(2000, max_degree=2003)
 
     def test_generic_cap(self):
         constraints = SearchConstraints(

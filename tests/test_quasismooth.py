@@ -86,6 +86,12 @@ class TestQuasismoothExamples:
     def test_variable_count_cap(self):
         with pytest.raises(ResourceCapError):
             quasismooth_exists(HypersurfaceFamily([1] * 25, 3))
+        # The cap comes before the cone test: 25 weights raise at d = 1 too.
+        for d in (1, 3):
+            with pytest.raises(ResourceCapError, match="limited to 24 variables, got 25"):
+                next(wph.quasismooth._failing_subsets((1,) * 25, d))
+        with pytest.raises(ResourceCapError):
+            quasismooth_exists(HypersurfaceFamily([1] * 25, 1))
 
 
 class TestAgainstIndependentReimplementation:
@@ -238,7 +244,10 @@ class TestPointerCertificate:
                 lambda s: len(s.subset) == 1, wph.quasismooth._failing_subsets(ws, d)
             )
             assert [astuple(s) for s in got] == expected, (ws, d)
-            if d not in ws:
+            if d in ws:
+                # A linear cone yields no diagnostic at all, of any size.
+                assert list(wph.quasismooth._failing_subsets(ws, d)) == [], (ws, d)
+            else:
                 full = quasismooth_exists(HypersurfaceFamily(ws, d), diagnostics=True)
                 assert [astuple(s) for s in full.failing_subsets] == (
                     naive_quasismooth_failures(ws, d)
