@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import factorial
 from pathlib import Path
 
@@ -105,22 +106,41 @@ def _load_table(args) -> JordanTable:
 #: Rows of an integer matrix encoded at a time by :func:`_write_json`.
 _MATRIX_BLOCK_ROWS = 1024
 
+#: The JSON text of a leaf of each exact type, by the C primitive json.dumps uses.
+_LEAF_TEXT = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
 
 def _write_json(value, write, indent: str = "") -> None:
     """Write ``value`` as ``json.dump(value, fp, indent=2, sort_keys=True)`` does.
 
-    With an indent the json module encodes element by element in Python.
-    Here dicts with string keys and non-empty lists recurse, and everything
-    else is one ``json.dumps`` call. Lists go in blocks of rows. A block of
-    rows of one width w >= 1 that flattens to exact ints, such as the support
-    echo, is one ``%`` of a template with w indented ``%d`` fields per row,
-    built once per block shape; any other block is written item by item.
+    With an indent the json module builds an encoder and runs its pure
+    Python ``_make_iterencode`` for every ``json.dumps`` call. Here a leaf of
+    exact type ``int``, ``str``, ``bool`` or ``None`` is written by the C
+    primitive ``json.dumps`` itself uses: ``int.__repr__``, and
+    ``encode_basestring_ascii`` (the ``ensure_ascii=True`` default) for
+    strings and for every dict key; an empty list, tuple or dict is ``[]`` or
+    ``{}``. Dicts with string keys and non-empty lists recurse. Everything
+    else (floats, int and str subclasses, dicts with non-string keys) is one
+    ``json.dumps`` call. Lists go in blocks of rows. A block of rows of one
+    width w >= 1 that flattens to exact ints, such as the support echo, is one
+    ``%`` of a template with w indented ``%d`` fields per row, built once per
+    block shape; any other block is written item by item.
     """
+    kind = type(value)
     inner = indent + "  "
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+    if kind in _LEAF_TEXT:
+        write(_LEAF_TEXT[kind](value))
+    elif kind in (list, tuple, dict) and not value:
+        write("{}" if kind is dict else "[]")
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         sep = "{\n" + inner
         for key in sorted(value):
-            write(sep + json.dumps(key) + ": ")
+            write(sep + encode_basestring_ascii(key) + ": ")
             _write_json(value[key], write, inner)
             sep = ",\n" + inner
         write("\n" + indent + "}")
@@ -327,8 +347,16 @@ def _unique_keys(pairs) -> dict:
     return data
 
 
+#: The keys of a support file; the last one is optional.
+_SUPPORT_KEYS = ("weights", "degree", "monomials", "coefficients")
+
+
 def load_support_file(path: str | Path):
-    """Parse a support file: weights, degree, monomials, optional coefficients."""
+    """Parse a support file: weights, degree, monomials, optional coefficients.
+
+    Any other top-level key is a ValidationError, so a misspelled optional
+    key is never dropped without a word.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
@@ -339,7 +367,13 @@ def load_support_file(path: str | Path):
         raise ValidationError(f"support file {path}: {_too_long('read')}") from None
     if not isinstance(data, dict):
         raise ValidationError("support file must contain a top-level object")
-    for key in ("weights", "degree", "monomials"):
+    unknown = [key for key in data if key not in _SUPPORT_KEYS]
+    if unknown:
+        raise ValidationError(
+            f"support file has the unknown key {unknown[0]!r}; "
+            f"the keys are {', '.join(_SUPPORT_KEYS)}"
+        )
+    for key in _SUPPORT_KEYS[:3]:
         if key not in data:
             raise ValidationError(f"support file is missing the {key!r} field")
     if not isinstance(data["weights"], list):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, count, cycle, repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
@@ -266,6 +266,14 @@ def monomial_existence_check(p: PolynomialSupport) -> MonomialExistenceReport:
     )
 
 
+def _coefficient(coeff, idx: int) -> Fraction:
+    """The ``idx``-th coefficient under :func:`~wph.weights.as_rational`; never zero."""
+    c = as_rational(coeff, f"coefficient {idx}")
+    if c == 0:
+        raise ValidationError(f"term {idx} has coefficient zero")
+    return c
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class WeightedPolynomial:
     """Weighted-homogeneous polynomial with exact rational coefficients.
@@ -303,10 +311,7 @@ class WeightedPolynomial:
                 raise ValidationError(
                     f"term {idx} must be a (coefficient, exponents) pair, got {term!r}"
                 ) from exc
-            c = as_rational(coeff, f"coefficient {idx}")
-            if c == 0:
-                raise ValidationError(f"term {idx} has coefficient zero")
-            coeffs.append(c)
+            coeffs.append(_coefficient(coeff, idx))
             rows.append(exps)
         vecs = _checked_rows(rows, self.weights.original, degree)
         object.__setattr__(self, "degree", degree)
@@ -318,6 +323,11 @@ class WeightedPolynomial:
         support: PolynomialSupport,
         coefficients: Sequence[Fraction | int | str] | None = None,
     ) -> "WeightedPolynomial":
+        """The polynomial with the support's rows and these coefficients.
+
+        Only the coefficients are checked: the rows were checked when the
+        support was built, so the fields are set without ``__post_init__``.
+        """
         if coefficients is None:
             coefficients = [1] * len(support.rows)
         elif type(coefficients) not in (list, tuple):
@@ -326,11 +336,12 @@ class WeightedPolynomial:
             raise ValidationError(
                 f"{len(coefficients)} coefficients for {len(support.rows)} monomials"
             )
-        return cls(
-            support.family.weights,
-            support.family.degree,
-            zip(coefficients, support.rows),
-        )
+        terms = tuple(zip(map(_coefficient, coefficients, count()), support.rows))
+        f = object.__new__(cls)
+        object.__setattr__(f, "weights", support.family.weights)
+        object.__setattr__(f, "degree", support.family.degree)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     def __repr__(self) -> str:
         return (

@@ -84,24 +84,27 @@ def is_linear_cone(fam: HypersurfaceFamily) -> bool:
     return fam.degree in fam.weights.canonical
 
 
+def _claim(s, targets, owner, seen) -> bool:
+    """Give the s-th index a target not in ``seen``, moving earlier owners along."""
+    for j in targets[s]:
+        if j not in seen:
+            seen.add(j)
+            if j not in owner or _claim(owner[j], targets, owner, seen):
+                owner[j] = s
+                return True
+    return False
+
+
 def _distinct_pointers(targets):
     """Can each index point to its own target, no two indices sharing one?
 
     Augmenting-path bipartite matching: ``targets[s]`` lists the targets open
     to the s-th index, and ``owner`` maps a target to the index holding it.
+    The search is a module-level function, not a closure that refers to
+    itself, so nothing it builds waits for the cycle collector.
     """
     owner = {}
-
-    def claim(s, seen):
-        for j in targets[s]:
-            if j not in seen:
-                seen.add(j)
-                if j not in owner or claim(owner[j], seen):
-                    owner[j] = s
-                    return True
-        return False
-
-    return all(claim(s, set()) for s in range(len(targets)))
+    return all(_claim(s, targets, owner, set()) for s in range(len(targets)))
 
 
 def _failing_subsets(weights, d):

@@ -143,6 +143,8 @@ CASES = {
         "inputs/jordan_repeated_n.txt",
     ],
     "error_support_repeated_key": ["symmetry", "inputs/repeated_key.json", "--json"],
+    # a misspelled optional key: "coefficents"
+    "error_support_unknown_key": ["symmetry", "inputs/unknown_key.json", "--json"],
     "error_support_weights_not_list": ["symmetry", "inputs/weights_text.json"],
     "error_jordan_table_missing": [
         "check", "--weights", "3,1,1", "--degree", "6", "--jordan-table", "missing.txt",

@@ -219,6 +219,20 @@ class TestSymmetry:
         path = write_support(tmp_path, "ints.json", dict(KLEIN, coefficients=[1, -2, 7]))
         assert run_json(capsys, "symmetry", path)["euler_identity"] is True
 
+    def test_coefficients_do_not_check_the_rows_again(self, capsys, tmp_path, monkeypatch):
+        # The support checks its rows; the polynomial built from it does not.
+        real = wph.monomials._checked_rows
+        passes = []
+
+        def counted(rows, weights, degree):
+            passes.append(len(rows))
+            return real(rows, weights, degree)
+
+        monkeypatch.setattr(wph.monomials, "_checked_rows", counted)
+        path = write_support(tmp_path, "c.json", dict(KLEIN, coefficients=["1", "-2/3", "7"]))
+        assert run_json(capsys, "symmetry", path)["euler_identity"] is True
+        assert passes == [3]
+
     @pytest.mark.parametrize(
         "coefficient, message",
         [
@@ -602,7 +616,28 @@ _text = st.one_of(
     st.text(),
     st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\r", "\u00e9\u6f22\U0001f600", ""]),
 )
-_scalars = st.one_of(st.none(), st.booleans(), _ints, _text, st.floats(allow_nan=False))
+
+
+class _SubInt(int):
+    pass
+
+
+class _SubStr(str):
+    pass
+
+
+# Exact ints, strs, bools and None take the writer's fast path; int and str
+# subclasses and floats, infinite ones included, take the json.dumps fallback.
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    _text,
+    st.floats(allow_nan=False),
+    st.sampled_from([float("inf"), float("-inf")]),
+    _ints.map(_SubInt),
+    _text.map(_SubStr),
+)
 _matrices = st.lists(
     st.one_of(
         st.lists(_ints, min_size=1, max_size=5),
@@ -617,14 +652,10 @@ _values = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_text, children, max_size=4),
+        st.dictionaries(st.one_of(_text, _text.map(_SubStr)), children, max_size=4),
     ),
     max_leaves=30,
 )
-
-
-class _SubInt(int):
-    pass
 
 
 class TestIndentedWriter:

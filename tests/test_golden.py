@@ -35,8 +35,27 @@ def test_corpus_has_no_stray_files():
     assert stems <= set(CASES)
 
 
-def test_module_entry_point():
-    """``python -m wph.cli`` runs ``main`` and exits with its code."""
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items() if "--json" in argv))
+def test_json_cases_never_call_json_dumps(name, in_golden, monkeypatch):
+    """Every leaf of the corpus's payloads is written without ``json.dumps``."""
+    real = json.dumps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    assert invoke(CASES[name]) == recorded(name)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name", ["fermat_curve_text", "check_flagship_json", "symmetry_large_json"]
+)
+def test_module_entry_point(name):
+    """``python -m wph.cli`` runs ``main`` and exits with its code; the
+    ``--json`` writer gives the recorded bytes on a real stdout."""
     import wph
 
     env = dict(os.environ, COLUMNS="80")
@@ -44,11 +63,11 @@ def test_module_entry_point():
     src = str(Path(wph.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "wph.cli", *CASES["fermat_curve_text"]],
+        [sys.executable, "-m", "wph.cli", *CASES[name]],
         cwd=GOLDEN, env=env, capture_output=True, timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (GOLDEN / "fermat_curve_text.out").read_bytes()
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def record() -> None:

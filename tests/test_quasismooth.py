@@ -1,6 +1,7 @@
+import gc
 import random
 from dataclasses import astuple
-from itertools import combinations_with_replacement, takewhile
+from itertools import combinations_with_replacement, product, takewhile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -264,6 +265,46 @@ class TestPointerCertificate:
         assert not has_certificate((2, 2, 1), 3)
         report = quasismooth_exists(HypersurfaceFamily([2, 2, 1], 3), diagnostics=True)
         assert [astuple(s) for s in report.failing_subsets] == [((0, 1), False, (2,), 2)]
+
+    def test_matching_agrees_with_brute_force(self):
+        # Distinct representatives exist iff some choice of one target per
+        # index uses no target twice.
+        rng = random.Random(4096)
+        found = 0
+        for _ in range(3000):
+            targets = [
+                rng.sample(range(6), rng.randint(0, 3)) for _ in range(rng.randint(0, 6))
+            ]
+            expected = any(len(set(pick)) == len(pick) for pick in product(*targets))
+            assert wph.quasismooth._distinct_pointers(targets) == expected, targets
+            found += expected
+        assert 500 <= found <= 2500
+
+    def test_decisions_leave_no_cyclic_garbage(self, monkeypatch):
+        # The K3 families, some with the degree raised by the smallest
+        # weight: most pass their singletons and reach the matching.
+        census = enumerate_families(
+            SearchConstraints(dimension=2, canonical_kind=CanonicalKind.CALABI_YAU)
+        )
+        rng = random.Random(31)
+        families = [
+            HypersurfaceFamily(ws, sum(ws) + rng.choice([0, 0, ws[-1]]))
+            for ws in (fam.weights.canonical for fam in census)
+            for _ in range(8)
+        ]
+        matchings = []
+        real = wph.quasismooth._distinct_pointers
+        monkeypatch.setattr(
+            wph.quasismooth, "_distinct_pointers", lambda t: matchings.append(t) or real(t)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            exists = [quasismooth_exists(fam).exists for fam in families]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(matchings) >= 600 and 400 <= sum(exists) <= 700
 
 
 class TestConsistencyWithMonomialExistence:
