@@ -1,26 +1,31 @@
 """Shared oracles and generators for the test suite.
 
-Each oracle here deliberately uses a different algorithm than the library
-code it checks: recursive cofactor determinants against Bareiss elimination,
-recursive enumeration against an odometer, power-series convolution against
-enumeration, list-based dynamic programming against bitmask closure,
-root-of-unity counting against Smith normal forms, a divisor-table census
-against the arithmetic lead loop, a walk over every partition against the
-dynamic program for the worst-case Jordan constant, and a rewrite of the
-scalar vector in the
-Smith basis of the whole graded piece against the dual quotient Lambda / L.
-That Smith basis comes from the library's elimination with the piece
-bordered below by an identity, which records the column transform V and no
-row transform, so whole pieces of thousands of rows stay cheap.
+The stdlib oracles for the subset criterion, the graded pieces and their
+sizes, determinants, semigroup membership and well-formedness live in
+``bench/oracles.py``, the module the benchmark checks its answers with. It
+imports nothing from ``wph``, and it is loaded here by path as ``oracles``,
+so ``bench/`` stays off ``sys.path``.
+
+Each oracle deliberately uses a different algorithm than the library code it
+checks: cofactor expansion against Bareiss elimination, a back-to-front
+recursion against an odometer, a counting table against enumeration, Apery
+sets against bitmask closure, root-of-unity counting against Smith normal
+forms, a divisor-table census against the arithmetic lead loop, a walk over
+every partition against the dynamic program for the worst-case Jordan
+constant, and a rewrite of the scalar vector in the Smith basis of the whole
+graded piece against the dual quotient Lambda / L. That Smith basis comes
+from the library's elimination with the piece bordered below by an identity,
+which records the column transform V and no row transform, so whole pieces of
+thousands of rows stay cheap.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 from typing import Sequence
 
 from hypothesis import HealthCheck, settings
@@ -35,13 +40,9 @@ from wph import (
     WeightSystem,
     enumerate_monomials,
     partitions_of,
-    is_linear_cone,
-    is_well_formed,
-    quasismooth_exists,
     smith_normal_form,
 )
 from wph.intlinalg import _diagonal, _snf_worker
-from wph.weights import omit_one_gcds
 
 settings.register_profile(
     "wph",
@@ -51,21 +52,10 @@ settings.register_profile(
 )
 settings.load_profile("wph")
 
-
-def cofactor_determinant(rows) -> int:
-    """Recursive cofactor expansion; exponential but independent of Bareiss."""
-    n = len(rows)
-    assert all(len(r) == n for r in rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sign = 1 if j % 2 == 0 else -1
-        total += sign * rows[0][j] * cofactor_determinant(minor)
-    return total
+_ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("oracles", _ORACLES)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def partition_walk_constant(n: int, table) -> Fraction:
@@ -77,67 +67,6 @@ def partition_walk_constant(n: int, table) -> Fraction:
             value *= table.value(part)
         best = max(best, value)
     return best
-
-
-def descending_monomials(weights, degree: int) -> list[tuple[int, ...]]:
-    """Every exponent vector of the given weighted degree, largest-lex first.
-
-    Plain recursion over the coordinates, one call per partial vector; the
-    library enumerates with an odometer and emits the last two coordinates
-    in bulk.
-    """
-    m = len(weights)
-    out: list[tuple[int, ...]] = []
-    exps = [0] * m
-
-    def descend(pos, remaining):
-        if pos == m - 1:
-            last = weights[pos]
-            if remaining % last == 0:
-                exps[pos] = remaining // last
-                out.append(tuple(exps))
-                exps[pos] = 0
-            return
-        a = weights[pos]
-        for e in range(remaining // a, -1, -1):
-            exps[pos] = e
-            descend(pos + 1, remaining - e * a)
-        exps[pos] = 0
-
-    descend(0, degree)
-    return out
-
-
-def series_dimensions(weights, upto: int) -> list[int]:
-    """Coefficients of prod_i 1/(1 - t^a_i) up to degree ``upto``."""
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for a in weights:
-        for k in range(a, upto + 1):
-            coeffs[k] += coeffs[k - a]
-    return coeffs
-
-
-def coin_representable(target: int, generators: tuple[int, ...]) -> bool:
-    """Classic memoized coin-change recursion."""
-
-    gens = tuple(sorted(set(generators)))
-
-    @lru_cache(maxsize=None)
-    def reach(t: int, idx: int) -> bool:
-        if t == 0:
-            return True
-        if idx == len(gens):
-            return False
-        g = gens[idx]
-        k = 0
-        while k * g <= t:
-            if reach(t - k * g, idx + 1):
-                return True
-            k += 1
-        return False
-
-    return reach(target, 0)
 
 
 def count_fixing_tuples(rows, modulus: int) -> int:
@@ -215,60 +144,25 @@ def _quotient_by_scalar(
     return AbelianGroupStructure.from_factors(qfactors, free_rank=0)
 
 
-def naive_quasismooth_failures(weights, degree: int) -> list[tuple]:
-    """Every failing subset of the criterion, by plain list DP.
-
-    Returns (subset, degree_representable, outside_witnesses, required) for
-    each failing index subset, in (size, lex) order; empty for linear cones.
-    """
-    ws = tuple(weights)
-    m = len(ws)
-    d = degree
-    if d in ws:
-        return []
-
-    cache: dict[frozenset[int], list[bool]] = {}
-
-    def reachable(gens: frozenset[int]) -> list[bool]:
-        got = cache.get(gens)
-        if got is None:
-            got = [False] * (d + 1)
-            got[0] = True
-            for k in range(1, d + 1):
-                got[k] = any(k >= g and got[k - g] for g in gens)
-            cache[gens] = got
-        return got
-
-    failures = []
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            reach = reachable(frozenset(ws[i] for i in subset))
-            if reach[d]:
-                continue
-            inside = set(subset)
-            witnesses = tuple(
-                j
-                for j in range(m)
-                if j not in inside and d - ws[j] >= 0 and reach[d - ws[j]]
-            )
-            if len(witnesses) < size:
-                failures.append((subset, False, witnesses, size))
-    return failures
+def descending_tuples(length, bound, budget):
+    """Non-increasing tuples of positive integers at most bound, sum <= budget."""
+    if length == 0:
+        yield ()
+        return
+    for e in range(min(bound, budget - length + 1), 0, -1):
+        for rest in descending_tuples(length - 1, e, budget - e):
+            yield (e,) + rest
 
 
-def naive_quasismooth_exists(weights, degree: int) -> bool:
-    """Independent restatement of the subset criterion with plain list DP."""
-    return not naive_quasismooth_failures(weights, degree)
-
-
-def reference_cy_census(c) -> list:
+def reference_cy_census(c) -> list[tuple[int, tuple[int, ...]]]:
     """The Calabi-Yau census of ``SearchConstraints`` c by the earlier method.
 
     Walks every sorted tuple of smaller weights with entries and sum below
     the degree bound, takes the leads from a divisor table, prunes them with
     residue sets (singleton condition at each smaller weight) and omit-one
-    gcds, and checks the survivors with the public predicates. Returns the
-    families sorted like ``enumerate_families``.
+    gcds, and decides the survivors with :mod:`oracles`, so no ``wph``
+    predicate is shared with the census it checks. Returns the
+    (degree, canonical weights) pairs sorted like ``enumerate_families``.
     """
     m = c.variables
     max_w = min(c.effective_max_weight, c.max_degree - m + 1)
@@ -278,17 +172,9 @@ def reference_cy_census(c) -> list:
     for q in range(1, c.max_degree + 1):
         for v in range(q, c.max_degree + 1, q):
             divisors[v].append(q)
-
-    def sorted_tuples(length, bound, budget):
-        if length == 0:
-            yield ()
-            return
-        for e in range(min(bound, budget - length + 1), 0, -1):
-            for rest in sorted_tuples(length - 1, e, budget - e):
-                yield (e,) + rest
-
+    cache = oracles.SemigroupCache()
     found = []
-    for smalls in sorted_tuples(m - 1, max_w, c.max_degree - 1):
+    for smalls in descending_tuples(m - 1, max_w, c.max_degree - 1):
         total = sum(smalls)
         if total + smalls[0] > c.max_degree:
             continue
@@ -306,18 +192,18 @@ def reference_cy_census(c) -> list:
         if c.require_well_formed:
             if gcd(*smalls) != 1:
                 continue
-            coprime_to = lcm(*omit_one_gcds(smalls))
+            coprime_to = lcm(*oracles.omit_one_gcds(smalls))
             leads = {q for q in leads if gcd(q, coprime_to) == 1}
         for lead in leads:
-            fam = HypersurfaceFamily((lead,) + smalls, lead + total)
-            if c.exclude_linear_cones and is_linear_cone(fam):
+            ws, d = (lead,) + smalls, lead + total
+            if c.exclude_linear_cones and d in ws:
                 continue
-            if c.require_well_formed and not is_well_formed(fam.weights):
+            if c.require_well_formed and not oracles.is_well_formed(ws):
                 continue
-            if c.require_quasismooth and not quasismooth_exists(fam).exists:
+            if c.require_quasismooth and not oracles.quasismooth_exists(ws, d, cache):
                 continue
-            found.append(fam)
-    found.sort(key=lambda f: (f.degree, f.weights.canonical))
+            found.append((d, ws))
+    found.sort()
     return found
 
 

@@ -39,9 +39,9 @@ from wph import (
 from wph.bounds import Finiteness
 
 from conftest import (
-    cofactor_determinant,
     count_fixing_tuples,
     monomial_witness_oracle,
+    oracles,
     random_finite_support,
     random_weighted_polynomial,
 )
@@ -188,8 +188,8 @@ def test_c8_snf_oracle_suite():
         )
         dec = smith_normal_form(m)
         assert dec.U @ m @ dec.V == dec.D
-        assert abs(cofactor_determinant(dec.U.to_rows())) == 1
-        assert abs(cofactor_determinant(dec.V.to_rows())) == 1
+        assert abs(oracles.cofactor_determinant(dec.U.to_rows())) == 1
+        assert abs(oracles.cofactor_determinant(dec.V.to_rows())) == 1
         factors = dec.invariant_factors
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0

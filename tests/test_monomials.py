@@ -21,7 +21,7 @@ from wph import (
 import wph.monomials
 from wph.monomials import _checked_rows, is_witness_row, iter_monomials
 
-from conftest import descending_monomials, random_weighted_polynomial, series_dimensions
+from conftest import oracles, random_weighted_polynomial
 
 
 class TestEnumeration:
@@ -63,7 +63,7 @@ class TestEnumeration:
         for _ in range(600):
             ws = [rng.randint(1, 9) for _ in range(rng.randint(2, 6))]
             d = rng.choice((0, rng.randint(1, 12), rng.randint(1, 30)))
-            expected = descending_monomials(ws, d)
+            expected = oracles.graded_piece(ws, d)[::-1]
             assert list(iter_monomials(WeightSystem(ws), d)) == expected, (ws, d)
             zero_degree += d == 0
             empty += not expected
@@ -77,7 +77,7 @@ class TestEnumeration:
         for _ in range(150):
             ws = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
             d = rng.randint(0, 20)
-            piece = descending_monomials(ws, d)
+            piece = oracles.graded_piece(ws, d)[::-1]
             w = WeightSystem(ws)
             assert enumerate_monomials(w, d, cap=len(piece)) == piece
             if piece:
@@ -89,7 +89,7 @@ class TestEnumeration:
         for length in (2, 3, 4):
             for ws in combinations_with_replacement(range(1, 7), length):
                 w = WeightSystem(tuple(reversed(ws)))
-                dims = series_dimensions(ws, 25)
+                dims = oracles.graded_piece_sizes(ws, 25)
                 for m in range(26):
                     assert len(enumerate_monomials(w, m)) == dims[m], (ws, m)
 
@@ -98,7 +98,7 @@ class TestEnumeration:
         for _ in range(60):
             ws = sorted((rng.randint(1, 10) for _ in range(5)), reverse=True)
             m = rng.randint(0, 40)
-            dims = series_dimensions(ws, m)
+            dims = oracles.graded_piece_sizes(ws, m)
             assert len(enumerate_monomials(WeightSystem(ws), m)) == dims[m], (ws, m)
 
 

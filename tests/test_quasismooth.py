@@ -22,7 +22,7 @@ from wph import (
     quasismooth_exists,
 )
 
-from conftest import naive_quasismooth_exists, naive_quasismooth_failures
+from conftest import oracles
 
 weight_lists = st.lists(st.integers(min_value=1, max_value=10), min_size=2, max_size=5)
 
@@ -35,6 +35,11 @@ def pointer_targets(ws, d):
 
 def has_certificate(ws, d):
     return wph.quasismooth._distinct_pointers(pointer_targets(ws, d))
+
+
+def oracle_failures(ws, d):
+    """The oracle's failing subsets as diagnostics tuples; none for a linear cone."""
+    return oracles.quasismooth_failures(ws, d) or []
 
 
 class TestLinearCone:
@@ -102,7 +107,7 @@ class TestAgainstIndependentReimplementation:
         for ws in combinations_with_replacement(range(1, 7), 3):
             for d in range(1, 26):
                 fam = HypersurfaceFamily(ws, d)
-                expected = naive_quasismooth_failures(fam.weights.canonical, d)
+                expected = oracle_failures(fam.weights.canonical, d)
                 fast = quasismooth_exists(fam)
                 full = quasismooth_exists(fam, diagnostics=True)
                 assert fast.exists == full.exists == (not expected), (ws, d)
@@ -116,7 +121,7 @@ class TestAgainstIndependentReimplementation:
             ws = tuple(sorted((rng.randint(1, 10) for _ in range(length)), reverse=True))
             d = rng.randint(1, 40)
             fam = HypersurfaceFamily(ws, d)
-            assert quasismooth_exists(fam).exists == naive_quasismooth_exists(ws, d), (
+            assert quasismooth_exists(fam).exists == oracles.quasismooth_exists(ws, d), (
                 ws,
                 d,
             )
@@ -143,7 +148,7 @@ class TestParentMasks:
             ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
             d = rng.randint(1, 60)
             fam = HypersurfaceFamily(ws, d)
-            expected = naive_quasismooth_failures(ws, d)
+            expected = oracle_failures(ws, d)
             full = quasismooth_exists(fam, diagnostics=True)
             fast = quasismooth_exists(fam)
             assert [astuple(s) for s in full.failing_subsets] == expected, (ws, d)
@@ -195,7 +200,7 @@ class TestPointerCertificate:
             ws = tuple(sorted((rng.randint(1, 30) for _ in range(m)), reverse=True))
             d = rng.randint(1, 120)
             fam = HypersurfaceFamily(ws, d)
-            expected = naive_quasismooth_failures(ws, d)
+            expected = oracle_failures(ws, d)
             full = quasismooth_exists(fam, diagnostics=True)
             fast = quasismooth_exists(fam)
             assert [astuple(s) for s in full.failing_subsets] == expected, (ws, d)
@@ -215,7 +220,7 @@ class TestPointerCertificate:
         left = []
         for fam in census:
             ws, d = fam.weights.canonical, fam.degree
-            assert naive_quasismooth_failures(ws, d) == [], (ws, d)
+            assert oracle_failures(ws, d) == [], (ws, d)
             assert quasismooth_exists(fam, diagnostics=True).failing_subsets == ()
             if not has_certificate(ws, d):
                 left.append((ws, d))
@@ -240,7 +245,7 @@ class TestPointerCertificate:
             pool = [rng.randint(1, 24) for _ in range(rng.randint(1, m))]
             ws = tuple(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
             d = rng.choice([rng.randint(1, 24), rng.choice(ws)])
-            expected = [f for f in naive_quasismooth_failures(ws, d) if len(f[0]) == 1]
+            expected = [f for f in oracle_failures(ws, d) if len(f[0]) == 1]
             got = takewhile(
                 lambda s: len(s.subset) == 1, wph.quasismooth._failing_subsets(ws, d)
             )
@@ -251,7 +256,7 @@ class TestPointerCertificate:
             else:
                 full = quasismooth_exists(HypersurfaceFamily(ws, d), diagnostics=True)
                 assert [astuple(s) for s in full.failing_subsets] == (
-                    naive_quasismooth_failures(ws, d)
+                    oracle_failures(ws, d)
                 ), (ws, d)
             failed += bool(expected)
             cones += d in ws

@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library, as README says."""
+"""The library and the oracle module import nothing outside the standard
+library, as README says, and the oracles import nothing from ``wph``."""
 
 from __future__ import annotations
 
@@ -6,13 +7,15 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wph"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "wph"
+ORACLES = ROOT / "bench" / "oracles.py"
 
 
-def absolute_imports() -> dict[str, str]:
-    """Top-level module of every absolute import in the package -> first file."""
+def absolute_imports(paths) -> dict[str, str]:
+    """Top-level module of every absolute import in the files -> first file."""
     found: dict[str, str] = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -25,8 +28,20 @@ def absolute_imports() -> dict[str, str]:
     return found
 
 
+def outside_stdlib(found: dict[str, str]) -> dict[str, str]:
+    return {name: file for name, file in found.items() if name not in sys.stdlib_module_names}
+
+
 def test_library_imports_only_the_standard_library():
-    found = absolute_imports()
+    found = absolute_imports(PACKAGE.glob("*.py"))
     assert {"fractions", "re", "typing"} <= set(found)
-    outside = {name: file for name, file in found.items() if name not in sys.stdlib_module_names}
-    assert not outside, outside
+    assert not outside_stdlib(found)
+
+
+def test_oracles_import_only_the_standard_library():
+    # Tier-1 and the benchmark both trust these oracles because they share
+    # no code with the library they check.
+    found = absolute_imports([ORACLES])
+    assert {"heapq", "math"} <= set(found)
+    assert "wph" not in found
+    assert not outside_stdlib(found)
