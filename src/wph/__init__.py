@@ -39,10 +39,6 @@ from .intlinalg import (
     REPRESENTABLE_TARGET_CAP,
     SnfDecomposition,
     integer_determinant,
-    loop_matrix,
-    n_representable,
-    partitions_of,
-    representable_mask,
     smith_normal_form,
 )
 from .monomials import (
@@ -56,7 +52,6 @@ from .monomials import (
     euler_check,
     is_witness_row,
     monomial_existence_check,
-    partial_derivative,
     weighted_degree,
 )
 from .quasismooth import (

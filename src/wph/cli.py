@@ -688,14 +688,24 @@ def main(argv=None) -> int:
     except WphError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         raise
-    if args.json:
-        # The bytes of json.dump(payload, stdout, indent=2, sort_keys=True),
-        # without its element-by-element Python encoder (see _write_json).
-        # Written piece by piece, so a large support echo is never one string.
-        _write_json(payload, sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        render(payload)
+    try:
+        if args.json:
+            # The bytes of json.dump(payload, stdout, indent=2, sort_keys=True),
+            # without its element-by-element Python encoder (see _write_json).
+            # Written piece by piece, so a large support echo is never one string.
+            _write_json(payload, sys.stdout.write)
+            sys.stdout.write("\n")
+        else:
+            render(payload)
+        # Flushed here, so a closed pipe is met inside this block.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``wph ... | head -1``). Point stdout at devnull so
+        # the flush at exit finds no pipe either, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -7,10 +7,7 @@ routines is exact. The main entry points are
 * :func:`smith_normal_form`, a deterministic Smith normal form with the
   unimodular transforms recorded, and :func:`invariant_factors`, its
   diagonal alone,
-* :func:`integer_determinant`, a fraction-free (Bareiss) determinant,
-* :func:`n_representable`, membership in the numerical semigroup generated
-  by a set of positive integers,
-* :func:`partitions_of`, unordered integer partitions in a fixed order.
+* :func:`integer_determinant`, a fraction-free (Bareiss) determinant.
 
 Both Smith forms run one elimination that records nothing itself. The
 transforms come from bordering the matrix with identities, which the
@@ -22,14 +19,14 @@ need no memory beyond the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionError, ResourceCapError, ValidationError
 from .weights import as_int
 
-#: Largest target accepted by the representability routines. The cost of the
-#: semigroup-membership computation is pseudo-polynomial in the target, so
-#: anything bigger is rejected instead of silently grinding.
+#: Largest target of the semigroup masks the subset criterion of
+#: :mod:`wph.quasismooth` builds. Their cost is pseudo-polynomial in the
+#: target, so anything bigger is rejected instead of silently grinding.
 REPRESENTABLE_TARGET_CAP = 10_000_000
 
 
@@ -233,53 +230,6 @@ def integer_determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def loop_matrix(diagonal: Sequence[int]) -> IntMatrix:
-    """Cyclic companion matrix with the given diagonal.
-
-    Entry (i, i) is ``diagonal[i]`` and entry (i, (i+1) mod m) gains 1; for a
-    single row the wrapped 1 lands on the diagonal itself. The determinant is
-    ``prod(diagonal) + (-1)**(m+1)``.
-    """
-    # Checked here, not only by IntMatrix: one row adds 1 to its entry first.
-    try:
-        bs = [as_int(b, "matrix entry") for b in diagonal]
-    except TypeError as exc:
-        raise ValidationError(
-            f"loop matrix diagonal must be an iterable of integers, got {diagonal!r}"
-        ) from exc
-    if not bs:
-        raise ValidationError("loop matrix needs at least one diagonal entry")
-    m = len(bs)
-    rows = [[0] * m for _ in range(m)]
-    for i, b in enumerate(bs):
-        rows[i][i] = b
-        rows[i][(i + 1) % m] += 1
-    return IntMatrix.from_rows(rows)
-
-
-def representable_mask(limit: int, generators: Iterable[int]) -> int:
-    """Bitmask of the numerical semigroup of ``generators`` up to ``limit``.
-
-    Bit k of the result is set iff k is a nonnegative integer combination of
-    the generators. Implemented by doubling shift-or closure on a big integer,
-    which keeps the pseudo-polynomial sweep inside C-level arithmetic.
-    """
-    limit = as_int(limit, "limit")
-    if limit < 0:
-        raise ValidationError("limit must be nonnegative")
-    _check_target_cap(limit)
-    gens = sorted({as_int(g, "generator") for g in generators})
-    if not gens:
-        raise ValidationError("generator list must be nonempty")
-    if gens[0] < 1:
-        raise ValidationError("generators must be positive")
-    mask = 1
-    full = (1 << (limit + 1)) - 1
-    for g in gens:
-        mask = _closed(mask, g, limit, full)
-    return mask
-
-
 def _check_target_cap(limit: int) -> None:
     """ResourceCapError past the cap, naming a long target by its digit count."""
     if limit > REPRESENTABLE_TARGET_CAP:
@@ -301,37 +251,3 @@ def _closed(mask: int, g: int, limit: int, full: int) -> int:
         mask |= (mask << shift) & full
         shift <<= 1
     return mask
-
-
-def n_representable(target: int, generators: Iterable[int]) -> bool:
-    """Is ``target`` a nonnegative integer combination of ``generators``?"""
-    target = as_int(target, "target")
-    if target < 0:
-        raise ValidationError("target must be nonnegative")
-    mask = representable_mask(target, generators)
-    return bool((mask >> target) & 1)
-
-
-def partitions_of(n: int) -> list[tuple[int, ...]]:
-    """All unordered partitions of ``n`` as non-increasing tuples.
-
-    The order is deterministic: largest first part first, so for 3 the list
-    is (3,), (2, 1), (1, 1, 1).
-    """
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValidationError("partitions are defined for n >= 1")
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def descend(remaining, largest):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            prefix.append(part)
-            descend(remaining - part, part)
-            prefix.pop()
-
-    descend(n, n)
-    return out

@@ -1,7 +1,7 @@
 """Weighted-homogeneous monomials and polynomials.
 
-Enumeration of graded pieces, exponent-vector supports, exact formal
-derivatives and the weighted Euler identity self-test.
+Enumeration of graded pieces, exponent-vector supports, polynomials with
+exact rational coefficients and the weighted Euler identity self-test.
 """
 
 from __future__ import annotations
@@ -213,17 +213,11 @@ class MonomialExistenceReport:
         return tuple(w.variable for w in self.witnesses if w.witness is None)
 
 
-def _variable_index(i, m: int) -> int:
-    """``i`` as an int in range(m); a ValidationError otherwise."""
-    i = as_int(i, "variable index")
-    if not 0 <= i < m:
-        raise ValidationError(f"variable index {i} out of range for {m} variables")
-    return i
-
-
 def is_witness_row(row: Sequence[int], variable: int) -> bool:
     """Does ``row`` have the shape x_i^k or x_i^k * x_j for ``variable`` i?"""
-    variable = _variable_index(variable, len(row))
+    variable = as_int(variable, "variable index")
+    if not 0 <= variable < len(row):
+        raise ValidationError(f"variable index {variable} out of range for {len(row)} variables")
     others = [e for j, e in enumerate(row) if j != variable and e]
     return row[variable] >= 1 and others in ([], [1])
 
@@ -279,8 +273,7 @@ class WeightedPolynomial:
     """Weighted-homogeneous polynomial with exact rational coefficients.
 
     Unlike :class:`PolynomialSupport` this stores coefficients and its own
-    degree, which lets formal derivatives (degree d - a_i, possibly zero)
-    live in the same type. Terms with mismatched degree are a hard error,
+    degree, which may be zero. Terms with mismatched degree are a hard error,
     never silently dropped. ``terms`` is given as (coefficient, exponents)
     pairs and stored as a tuple of (Fraction, exponent vector) pairs;
     coefficients follow :func:`~wph.weights.as_rational`. ``weights`` may be
@@ -356,19 +349,6 @@ def _derivative_terms(terms, i):
         e = vec[i]
         if e:
             yield c * e, vec[:i] + (e - 1,) + vec[i + 1 :]
-
-
-def partial_derivative(f: WeightedPolynomial, i: int) -> WeightedPolynomial:
-    """Exact formal derivative with respect to variable ``i``.
-
-    Every surviving term has weighted degree d - a_i. The result may be the
-    zero polynomial (no terms).
-    """
-    ws = f.weights.original
-    i = _variable_index(i, len(ws))
-    return WeightedPolynomial(
-        f.weights, max(f.degree - ws[i], 0), list(_derivative_terms(f.terms, i))
-    )
 
 
 def euler_check(f: WeightedPolynomial) -> bool:

@@ -39,7 +39,6 @@ from wph import (
     WeightedPolynomial,
     WeightSystem,
     enumerate_monomials,
-    partitions_of,
     smith_normal_form,
 )
 from wph.intlinalg import _diagonal, _snf_worker
@@ -59,12 +58,17 @@ _spec.loader.exec_module(oracles)
 
 
 def partition_walk_constant(n: int, table) -> Fraction:
-    """Largest multiplicity product over the partitions of n+2, one by one."""
+    """Largest multiplicity product over the partitions of n+2, one by one.
+
+    The degree-(n+2) piece of weights 1, ..., n+2 lists every partition of
+    n+2 once, as the multiplicity of each part.
+    """
     best = Fraction(0)
-    for partition in partitions_of(n + 2):
+    for counts in oracles.graded_piece(list(range(1, n + 3)), n + 2):
         value = Fraction(1)
-        for part in partition:
-            value *= table.value(part)
+        for part, count in enumerate(counts, 1):
+            if count:
+                value *= table.value(part) ** count
         best = max(best, value)
     return best
 

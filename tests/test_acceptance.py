@@ -32,7 +32,6 @@ from wph import (
     lin_diagonal_order,
     lin_finiteness,
     lin_order_bound,
-    loop_matrix,
     quasismooth_exists,
     smith_normal_form,
 )
@@ -167,12 +166,16 @@ def test_c7_minor_determinant_suite():
         m = len(fam.weights)
         assert 0 < minor.determinant
         assert minor.determinant * fam.weight_product <= fam.degree ** m
+    # Loop matrices: diagonal b, and 1 at (i, i + 1 mod m), on the diagonal when m = 1.
     for m in range(1, 7):
         for diag in combinations_with_replacement(range(1, 6), m):
+            rows = [
+                [b * (j == i) + (j == (i + 1) % m) for j in range(m)] for i, b in enumerate(diag)
+            ]
             prod = 1
             for b in diag:
                 prod *= b
-            assert integer_determinant(loop_matrix(diag)) == prod + (-1) ** (m + 1)
+            assert integer_determinant(IntMatrix.from_rows(rows)) == prod + (-1) ** (m + 1)
 
 
 @criterion(8, "Smith normal form against root-of-unity counting")

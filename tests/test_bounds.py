@@ -26,7 +26,7 @@ from wph import (
     worst_case_constant,
 )
 
-from conftest import partition_walk_constant
+from conftest import oracles, partition_walk_constant
 
 
 def table_with(entries):
@@ -196,6 +196,24 @@ class TestWeakJordan:
         t = table_with({3: 360})
         # multiplicities 3 and 2: product 360 * 12
         assert weak_jordan_of_aut(WeightSystem([2, 2, 2, 1, 1]), t) == 4320
+
+
+class TestPartitionWalk:
+    """The rows ``partition_walk_constant`` walks, the reference for ``worst_case_constant``:
+    the degree-n piece of weights 1, ..., n, each row a partition of n as part multiplicities."""
+
+    def test_examples(self):
+        assert sorted(oracles.graded_piece([1, 2, 3], 3)) == [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
+        assert oracles.graded_piece([1], 1) == [(1,)]
+
+    def test_counts_match_partition_numbers(self):
+        # p(n) for n = 1..16, OEIS A000041.
+        expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
+        for n, p_n in enumerate(expected, 1):
+            rows = oracles.graded_piece(list(range(1, n + 1)), n)
+            assert len(rows) == len(set(rows)) == p_n
+            for counts in rows:
+                assert sum(part * c for part, c in enumerate(counts, 1)) == n
 
 
 class TestWorstCase:

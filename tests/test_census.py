@@ -12,6 +12,7 @@ import wph.census
 from wph.census import _dominated_lasts
 
 from wph import (
+    DEFAULT_CANDIDATE_CAP,
     CanonicalKind,
     HypersurfaceFamily,
     ResourceCapError,
@@ -536,4 +537,9 @@ class TestResourceCap:
         got = (c.dimension, c.max_degree, c.max_weight, c.candidate_cap)
         assert got == (1, 30, 5, 99)
         assert {type(v) for v in got} == {int}
-        assert SearchConstraints(dimension=1).max_weight is None
+        defaults = SearchConstraints(dimension=1)
+        assert defaults.max_weight is None
+        assert (defaults.max_degree, defaults.candidate_cap) == (300, DEFAULT_CANDIDATE_CAP)
+        assert defaults.require_well_formed is True
+        assert defaults.require_quasismooth is True
+        assert defaults.exclude_linear_cones is True

@@ -56,18 +56,36 @@ def test_json_cases_never_call_json_dumps(name, in_golden, monkeypatch):
 def test_module_entry_point(name):
     """``python -m wph.cli`` runs ``main`` and exits with its code; the
     ``--json`` writer gives the recorded bytes on a real stdout."""
+    done = run_module(CASES[name], subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["check_flagship_json", "enumerate_cy_curves_text"])
+def test_closed_stdout_pipe_exits_1_quietly(name):
+    """A reader that is gone (``wph ... | head -1``) ends the command with
+    exit code 1 and nothing on stderr, not a ``BrokenPipeError`` traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_module(CASES[name], write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def run_module(argv, stdout) -> subprocess.CompletedProcess:
+    """``python -m wph.cli`` on ``argv`` in the corpus directory, stderr captured."""
     import wph
 
     env = dict(os.environ, COLUMNS="80")
     env.pop("WPH_JORDAN_TABLE", None)
     src = str(Path(wph.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "wph.cli", *CASES[name]],
-        cwd=GOLDEN, env=env, capture_output=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "wph.cli", *argv],
+        cwd=GOLDEN, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60,
     )
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def record() -> None:

@@ -1,13 +1,15 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from wph import (
+    REPRESENTABLE_TARGET_CAP,
     DimensionError,
+    HypersurfaceFamily,
     IntMatrix,
     JordanEntry,
     JordanTable,
@@ -20,14 +22,10 @@ from wph import (
     fermat_prediction,
     fermat_support,
     integer_determinant,
-    loop_matrix,
-    n_representable,
-    partitions_of,
-    representable_mask,
     smith_normal_form,
     worst_case_constant,
 )
-from wph.intlinalg import invariant_factors
+from wph.intlinalg import _check_target_cap, _closed, invariant_factors
 from wph.monomials import iter_monomials
 
 from conftest import oracles
@@ -199,63 +197,98 @@ class TestDeterminant:
         assert integer_determinant(a @ b) == integer_determinant(a) * integer_determinant(b)
 
 
+def semigroup_mask(limit, gens):
+    """Bit t set iff t is a sum of ``gens``, for t up to ``limit``, as the scan builds it."""
+    full = (1 << (limit + 1)) - 1
+    mask = 1
+    for g in gens:
+        mask = _closed(mask, g, limit, full)
+    return mask
+
+
 class TestRepresentability:
     def test_examples(self):
-        assert n_representable(5, [2, 3]) is True
-        assert n_representable(4, [3]) is False
-        assert n_representable(0, [7]) is True
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            n_representable(3, [])
-        with pytest.raises(ValidationError):
-            n_representable(3, [0, 2])
-        with pytest.raises(ValidationError):
-            n_representable(-1, [2])
+        assert (semigroup_mask(5, [2, 3]) >> 5) & 1
+        assert not (semigroup_mask(4, [3]) >> 4) & 1
+        assert semigroup_mask(0, [7]) == 1
+        assert semigroup_mask(10, [4, 6]) == 0b10101010001
 
     def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            n_representable(10_000_001, [2, 3])
-        with pytest.raises(ResourceCapError):
-            representable_mask(10_000_001, [7])
+        _check_target_cap(REPRESENTABLE_TARGET_CAP)
+        with pytest.raises(ResourceCapError, match="target 10000001 exceeds cap 10000000"):
+            _check_target_cap(REPRESENTABLE_TARGET_CAP + 1)
+
+    def test_cap_names_a_long_target_by_its_digit_count(self):
+        for digits in range(9, 80):
+            for limit in (10 ** (digits - 1), 10**digits - 1):
+                with pytest.raises(ResourceCapError) as info:
+                    _check_target_cap(limit)
+                shown = str(limit) if digits <= 20 else f"of {digits} digits"
+                assert str(info.value) == (
+                    f"representability target {shown} exceeds cap {REPRESENTABLE_TARGET_CAP}"
+                )
 
     def test_exhaustive_against_coin_oracle(self):
         values = range(1, 13)
         semigroups = oracles.SemigroupCache()
         for size in range(1, 5):
             for gens in combinations(values, size):
-                mask = representable_mask(60, gens)
+                mask = semigroup_mask(60, gens)
                 for target in range(61):
                     expected = semigroups.contains(target, gens)
                     assert bool((mask >> target) & 1) == expected, (target, gens)
 
     def test_duplicate_generators_collapse(self):
-        assert representable_mask(20, [3, 3, 5]) == representable_mask(20, [3, 5])
+        assert semigroup_mask(20, [3, 3, 5]) == semigroup_mask(20, [3, 5])
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=120),
+        st.randoms(use_true_random=False),
+    )
+    def test_generator_order_is_irrelevant(self, gens, limit, rng):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert semigroup_mask(limit, shuffled) == semigroup_mask(limit, gens)
+
+    @given(
+        st.integers(min_value=0, max_value=1 << 40),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_closure_stays_under_the_limit(self, mask, g, limit):
+        full = (1 << (limit + 1)) - 1
+        closed = _closed(mask & full, g, limit, full)
+        assert closed & ~full == 0
+        assert closed & mask & full == mask & full
+        # Closed already: one more g changes nothing.
+        assert _closed(closed, g, limit, full) == closed
+        assert (closed << g) & full & ~closed == 0
 
 
 @pytest.mark.parametrize(
     "call, args",
     [
-        (n_representable, (7.9, [2, 3])),
-        (n_representable, ("7", [2, 3])),
-        (n_representable, (True, [2, 3])),
-        (representable_mask, (7, [2.5])),
-        (representable_mask, (7.0, [2])),
-        (partitions_of, ("4",)),
         (fermat_prediction, (2.9, 4.2)),
+        (fermat_prediction, (True, 4)),
         (fermat_support, (2, 4.0)),
+        (fermat_support, ("2", 4)),
         (worst_case_constant, (True, JordanTable())),
+        (worst_case_constant, (2.0, JordanTable())),
+        (WeightSystem, ([2, 2.5],)),
+        (HypersurfaceFamily, ([1, 1], 2.0)),
+        (iter_monomials, (WeightSystem([1, 1]), 2.0)),
     ],
     ids=[
-        "n_representable-(7.9, [2, 3])",
-        "n_representable-('7', [2, 3])",
-        "n_representable-(True, [2, 3])",
-        "representable_mask-(7, [2.5])",
-        "representable_mask-(7.0, [2])",
-        "partitions_of-('4',)",
         "fermat_prediction-(2.9, 4.2)",
+        "fermat_prediction-(True, 4)",
         "fermat_support-(2, 4.0)",
+        "fermat_support-('2', 4)",
         "worst_case_constant-(True, JordanTable())",
+        "worst_case_constant-(2.0, JordanTable())",
+        "WeightSystem-([2, 2.5],)",
+        "HypersurfaceFamily-([1, 1], 2.0)",
+        "iter_monomials-(WeightSystem([1, 1]), 2.0)",
     ],
 )
 def test_primitives_reject_non_integers(call, args):
@@ -271,7 +304,6 @@ def test_primitives_reject_non_integers(call, args):
         (lambda: JordanTable({0: JordanEntry(360, "fixture")}), "key must be >= 1"),
         (lambda: worst_case_constant(-1, JordanTable()), "dimension must be >= 0"),
         (lambda: IntMatrix.from_rows([]), "at least one row"),
-        (lambda: representable_mask(-1, [2]), "limit must be nonnegative"),
         (lambda: iter_monomials(WeightSystem([1, 1]), -1), "degree must be nonnegative"),
         (
             lambda: WeightedPolynomial([1, 1], -1, [(1, (1, 1))]),
@@ -279,11 +311,14 @@ def test_primitives_reject_non_integers(call, args):
         ),
         (lambda: fermat_support(0, 3), "Fermat support needs n >= 1"),
         (lambda: WeightSystem(5), "weights must be an iterable of integers"),
+        (lambda: WeightSystem([0, 1]), r"weights must be positive, got \(0, 1\)"),
+        (lambda: HypersurfaceFamily([1, 1], 0), "degree must be positive, got 0"),
     ],
     ids=[
         "max_weight-0", "candidate_cap-0", "table-key-0", "worst_case-dim-minus-1",
-        "from_rows-empty", "mask-limit-minus-1", "iter_monomials-degree-minus-1",
+        "from_rows-empty", "iter_monomials-degree-minus-1",
         "polynomial-degree-minus-1", "fermat_support-dim-0", "weights-int",
+        "weights-zero", "family-degree-0",
     ],
 )
 def test_out_of_range_arguments_rejected(build, message):
@@ -298,8 +333,8 @@ def test_out_of_range_arguments_rejected(build, message):
         lambda: IntMatrix(1, 1, (Fraction(4, 2),)),
         lambda: IntMatrix.from_rows([[2, True]]),
         lambda: IntMatrix.from_rows([[1, "2"]]),
-        lambda: loop_matrix([2.9, "3"]),
-        lambda: loop_matrix(["3"]),
+        lambda: IntMatrix.from_rows([[1.5]]),
+        lambda: IntMatrix(1, 1, ("3",)),
         lambda: IntMatrix(2.0, 1, (1, 2)),
         lambda: IntMatrix(1, "2", (1, 2)),
         lambda: IntMatrix.from_rows([5]),
@@ -307,8 +342,9 @@ def test_out_of_range_arguments_rejected(build, message):
         lambda: IntMatrix.from_rows([[1, 2], 5]),
     ],
     ids=[
-        "float", "fraction", "from_rows bool", "from_rows str", "loop float", "loop one str",
-        "float rows", "str cols", "from_rows int row", "from_rows int", "from_rows mixed rows",
+        "float", "fraction", "from_rows bool", "from_rows str", "from_rows float",
+        "str entry", "float rows", "str cols",
+        "from_rows int row", "from_rows int", "from_rows mixed rows",
     ],
 )
 def test_matrices_reject_non_integers(build):
@@ -316,48 +352,3 @@ def test_matrices_reject_non_integers(build):
         ValidationError, match="matrix (entry|rows|cols) must be an (integer|iterable)"
     ):
         build()
-
-
-class TestPartitions:
-    def test_examples(self):
-        assert partitions_of(3) == [(3,), (2, 1), (1, 1, 1)]
-        assert partitions_of(1) == [(1,)]
-        assert len(partitions_of(5)) == 7
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            partitions_of(0)
-
-    @given(st.integers(min_value=1, max_value=28))
-    def test_against_series_count(self, n):
-        parts = partitions_of(n)
-        assert len(set(parts)) == len(parts)
-        for p in parts:
-            assert sum(p) == n
-            assert all(x >= 1 for x in p)
-            assert tuple(sorted(p, reverse=True)) == p
-        # partition numbers via the product of 1/(1-t^k), an independent route
-        expected = oracles.graded_piece_sizes(range(1, n + 1), n)[n]
-        assert len(parts) == expected
-
-
-class TestLoopMatrix:
-    def test_closed_form_exhaustive(self):
-        for m in range(1, 7):
-            for diag in combinations_with_replacement(range(1, 6), m):
-                # order within the cycle matters for the matrix but not the
-                # determinant; test a couple of arrangements anyway
-                for arrangement in {diag, tuple(reversed(diag))}:
-                    mat = loop_matrix(arrangement)
-                    prod = 1
-                    for b in arrangement:
-                        prod *= b
-                    expected = prod + (-1) ** (m + 1)
-                    assert integer_determinant(mat) == expected
-
-    def test_single_row_convention(self):
-        assert loop_matrix([4]).to_rows() == [[5]]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            loop_matrix([])

@@ -98,6 +98,13 @@ class TestQuasismoothExamples:
                 next(wph.quasismooth._failing_subsets((1,) * 25, d))
         with pytest.raises(ResourceCapError):
             quasismooth_exists(HypersurfaceFamily([1] * 25, 1))
+        # Exactly 24 weights are decided.
+        assert quasismooth_exists(HypersurfaceFamily([1] * 24, 24)).exists is True
+        cy = SearchConstraints(
+            dimension=22, canonical_kind=CanonicalKind.CALABI_YAU, max_degree=24
+        )
+        found = enumerate_families(cy)
+        assert [(f.degree, f.weights.canonical) for f in found] == [(24, (1,) * 24)]
 
 
 class TestAgainstIndependentReimplementation:

@@ -91,11 +91,11 @@ def test_exported_dataclasses_are_frozen():
         (lambda: PolynomialSupport([1, 1, 1], KLEIN_ROWS), "family"),
         (lambda: wph.IntMatrix(2, 2, 5), "matrix entries"),
         (lambda: WeightedPolynomial([1, 1], 2, 5), "terms"),
-        (lambda: wph.loop_matrix(5), "loop matrix diagonal"),
+        (lambda: PolynomialSupport(KLEIN, 5), "support rows"),
     ],
     ids=[
         "table-value", "table-provenance", "table-list", "support-family", "matrix-entries",
-        "polynomial-terms", "loop-diagonal",
+        "polynomial-terms", "support-rows",
     ],
 )
 def test_wrong_container_types_raise_validation_error(build, field):
