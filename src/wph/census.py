@@ -2,33 +2,25 @@
 
 The Calabi-Yau search (degree equal to the weight sum) is the workhorse: it
 reproduces the classical lists of elliptic and K3 hypersurface families. It
-walks sorted tuples a_1 >= a_2 >= ... of smaller weights and completes each
-with leading weights a_0 >= a_1, so d = a_0 + R with R the sum of the smaller
-weights, and only tuples with R + a_1 <= max_degree are visited. Five tests
-prune on the raw integers, before any WeightSystem is built:
+walks sorted prefixes a_1 >= a_2 >= ... of the smaller weights (all but the
+last, with sum psum) and completes each with pairs of a lead a_0 = q >= a_1
+and a last weight e, so d = q + R with R = psum + e. Four tests prune on the
+raw integers, before any WeightSystem is built:
 
-* the singleton condition at the lead: a_0 divides R or R minus a smaller
-  weight. Every smaller weight is at most a_0, so the quotient is at most
-  the number of weights summed, and a few divisions give the leads;
-* the singleton condition at a_1, tested as the leads are made: a_1 divides
-  d - a_0 = R, or d - b for b = 0 or a smaller weight;
-* dominance, with two or more weights after a_1: let S = a_2 + a_3 + ...
-  If S < a_1, then a_0 = a_1 + S - b and a_1 = 2S - b - b' for some b, b'
-  in {0, a_2, a_3, ...}. Proof: a_0 divides a_1 + S - b for b = 0 or a
-  weight other than a_0 (singleton condition at a_0); b = a_1 would need
-  a_0 <= S < a_1, so 0 < a_1 + S - b < 2 a_0 and the quotient is 1. Then
-  d = 2 a_1 + 2S - b, and a_1 divides d - b', that is 2S - b - b', for
-  b' = 0 or a weight other than a_1 (singleton condition at a_1); b' = a_0
-  would need a_1 | S. Every b, b' is at most a_2 < S, so
-  0 < 2S - b - b' < 2 a_1 and the quotient is 1 again. (With a_2 alone
-  after a_1, b = b' = a_2 = S is also possible, and the test is not used.)
-  So the walk takes every last weight at or above the split, where
-  S >= a_1, and below it only the few last weights these equations give;
+* the singleton condition at the lead: q divides R - b for b = 0 or a
+  smaller weight. With b = e that is q | psum, and e is free. Otherwise
+  q k = psum - b + e for some k >= 1, and for fixed (b, k) the leads run
+  over one range (q >= a_1, q at most the weight bound, e in range and
+  (k + 1) q + b <= max_degree), each q fixing e. These ranges generate
+  every pair that meets the condition, and only those;
+* the singleton condition at a_1, one residue test per pair generated: a_1
+  divides d - b for b = 0, a prefix weight, q or e;
 * well-formedness: the smaller weights must be coprime, and a_0 must be
   coprime to the lcm of their omit-one gcds;
 * the singleton condition at every other smaller weight a: a must divide d
   or d minus another weight.
 
+The pairs kept by the first two tests are grouped by e for the other two.
 The quasismooth tests apply only under ``require_quasismooth``, the
 well-formedness tests only under ``require_well_formed``. With a single
 smaller weight a_1 divides R = a_1, so every lead passes both singleton
@@ -60,26 +52,20 @@ Every raw quasismooth test is a necessary condition and the decision is the
 subset criterion itself, so both searches emit exactly the families the public
 predicates accept; the raw tests change their speed, never their result.
 
-The candidate cap counts the steps of the Calabi-Yau search: each prefix of
-smaller weights (all but the last) it walks, each tuple of smaller weights it
-visits, and each lead kept by the tests at the lead and at a_1 (each lead in
-range without ``require_quasismooth`` or with a single smaller weight; none
-when the smaller weights share a factor under ``require_well_formed``). A
-tuple the dominance test skips is not visited and is not counted; a prefix
-costs a bounded amount of work whether or not any of its tuples is visited,
-which its own step pays for. The search raises ResourceCapError once the
-count passes the cap, before it does the work counted. The generic search
-raises up front when its (weights, degree) pairs number more than the cap,
-a count it stops building once it passes the cap (``_check_pair_count``).
-
-The measured census time against the degree bound is in ``bench/README.md``
-(section "Census scaling", from ``python3 bench/scaling.py``).
+The candidate cap counts each prefix of smaller weights walked and each
+(lead, last) pair that the singleton condition at the lead generates, once
+for each (b, k) that generates it; without the quasismooth filter, or with a
+single smaller weight, it counts each pair in range. The search raises
+ResourceCapError once the count passes the cap, before it makes the pairs
+counted. The generic search raises up front when its (weights, degree) pairs
+number more than the cap, a count it stops building once it passes the cap
+(``_check_pair_count``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import gcd, lcm
 
 from .errors import ResourceCapError, ValidationError
@@ -132,9 +118,9 @@ class SearchConstraints:
         return self.max_weight if self.max_weight is not None else self.max_degree
 
 
-def _cap_exceeded(c: SearchConstraints) -> ResourceCapError:
+def _cap_exceeded(cap: int) -> ResourceCapError:
     return ResourceCapError(
-        f"candidate cap {c.candidate_cap} exceeded during search; raise it to proceed"
+        f"candidate cap {cap} exceeded during search; raise it to proceed"
     )
 
 
@@ -162,24 +148,51 @@ def _prefixes(length: int, top: int, max_degree: int):
         )
 
 
-def _dominated_lasts(first, rest, tail, hi):
-    """The last weights e in 1..hi that pass the dominance test, in order.
+def _lead_pairs(prefix, psum, top, last_max, max_degree, seen, cap):
+    """``seen`` plus the pairs the lead condition generates, and the (lead q,
+    last e) pairs that meet the singleton conditions at the lead and at a_1,
+    as {e: [q, ...]}.
 
-    ``first`` is a_1 and ``tail`` the weights between a_1 and e, with sum
-    ``rest``; every e <= hi has S = rest + e < a_1. The test asks for
-    a_1 = 2S - b - b' with b, b' in {0, e} or ``tail``.
+    ``prefix`` is nonempty, with sum ``psum``; the pairs in range have
+    prefix[0] <= q <= top, 1 <= e <= last_max and q + psum + e <= max_degree.
+    Raises ResourceCapError, before any pair is made, when the count passes
+    ``cap``.
     """
-    if first == 2 * rest:  # b = b' = e: every e
-        return range(1, hi + 1)
-    others = {0, *tail}
-    lasts = {first - 2 * rest + b for b in others}  # one of b, b' is e
-    lasts.update(  # neither is e
-        (first + b + b2) // 2 - rest
-        for b in others
-        for b2 in others
-        if (first + b + b2) % 2 == 0
-    )
-    return sorted(e for e in lasts if 1 <= e <= hi)
+    first = prefix[0]
+    values = {0, *prefix}
+    # (leads, lasts) ranges, one per b = e (q | psum, e free) and one per
+    # (b, k) with b = 0 or a prefix weight (q k = psum - b + e).
+    ranges = []
+    for k in range(1, psum // first + 1):
+        q = psum // k
+        if psum % k == 0 and q <= top:
+            ranges.append((repeat(q), range(1, min(last_max, max_degree - psum - q) + 1)))
+    room = max_degree - psum
+    for b in values:
+        base = psum - b
+        # e >= 1 with d <= max_degree needs k > base / room, and q >= first
+        # with e <= last_max and d <= max_degree bounds k above.
+        k_max = min(base + last_max, max_degree - b - first) // first
+        for k in range(base // room + 1, k_max + 1):
+            lo = max(first, base // k + 1)
+            hi = min(top, (base + last_max) // k, (max_degree - b) // (k + 1))
+            if lo <= hi:
+                ranges.append((range(lo, hi + 1), range(lo * k - base, hi * k - base + 1, k)))
+    seen += sum(len(lasts) for _, lasts in ranges)
+    if seen > cap:
+        raise _cap_exceeded(cap)
+    # a_1 divides d - b for b = 0, a prefix weight, q or e.
+    at_first = {b % first for b in values}
+    kept = {
+        (q, e)
+        for leads, lasts in ranges
+        for q, e in zip(leads, lasts)
+        if (r := (psum + q + e) % first) in at_first or r == q % first or r == e % first
+    }
+    by_last = {}
+    for q, e in kept:
+        by_last.setdefault(e, []).append(q)
+    return seen, by_last
 
 
 def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
@@ -191,65 +204,33 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
     qs, wf = c.require_quasismooth, c.require_well_formed
     # With one smaller weight every lead passes both singleton conditions.
     every_lead = not qs or length == 1
-    dominance = qs and length > 2
     cap, max_degree = c.candidate_cap, c.max_degree
     seen = 0
     for prefix, psum, pgcd, last_max in _prefixes(length, top, max_degree):
-        first = prefix[0] if prefix else 0
-        lasts = range(1, last_max + 1)
-        if dominance:
-            # Below the split S = psum - a_1 + e is less than a_1.
-            split = 2 * first - psum
-            if split > 1:
-                lasts = [
-                    *_dominated_lasts(first, psum - first, prefix[1:], min(split - 1, last_max)),
-                    *range(split, last_max + 1),
-                ]
-        seen += 1 + len(lasts)
+        seen += 1
         if seen > cap:
-            raise _cap_exceeded(c)
-        if not lasts:
+            raise _cap_exceeded(cap)
+        if every_lead:
+            first = prefix[0] if prefix else 0
+            by_last = {}
+            for e in range(1, last_max + 1):
+                by_last[e] = range(first or e, min(top, max_degree - psum - e) + 1)
+                seen += len(by_last[e])
+                if seen > cap:
+                    raise _cap_exceeded(cap)
+        else:
+            seen, by_last = _lead_pairs(prefix, psum, top, last_max, max_degree, seen, cap)
+        if not by_last:
             continue
         if qs:
             values = sorted(set(prefix), reverse=True)
-            # a_1 is tested as the leads are made, the other prefix weights here.
+            # a_1 is tested in _lead_pairs, the other prefix weights here.
             residues = [(a, {b % a for b in values}) for a in values[1:]]
-        if not every_lead:
-            # The lead divides d - q - b = total - b for b = 0 or a smaller
-            # weight: ``bases`` holds total - b - e for b = 0 or a prefix
-            # weight, and b = e gives the leads dividing psum.
-            bases = [psum, *[psum - b for b in values]]
-            by_last = [psum // k for k in range(1, psum // first + 1) if psum % k == 0]
-            at_first = {b % first for b in values}
-            at_first.add(0)
         omitted = None
-        for e in lasts:
+        for e, leads in by_last.items():
             if wf and gcd(pgcd, e) != 1:
                 continue
             total = psum + e
-            lead_min = first or e
-            lead_max = min(top, max_degree - total)
-            if every_lead:
-                leads = range(lead_min, lead_max + 1)
-            else:
-                # The singleton condition at a_1 as the leads are made: a_1
-                # divides d - q = total (r = 0), or d - b for b = 0 or a
-                # smaller weight, that is q + total = b modulo a_1.
-                r = total % first
-                first_ok = {*at_first, e % first}
-                leads = {
-                    q for q in by_last if q <= lead_max and (not r or (q + r) % first in first_ok)
-                }
-                for v in bases:
-                    v += e
-                    for k in range(-(-v // lead_max), v // lead_min + 1):
-                        if v % k == 0 and (not r or (v // k + r) % first in first_ok):
-                            leads.add(v // k)
-            seen += len(leads)
-            if seen > cap:
-                raise _cap_exceeded(c)
-            if not leads:
-                continue
             if qs:
                 # Each smaller weight a divides d, or d - b for another weight
                 # b; with b = e that is a | q + psum.

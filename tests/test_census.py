@@ -1,7 +1,6 @@
 import json
-import linecache
+import random
 import time
-import traceback
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -9,7 +8,7 @@ import pytest
 from conftest import descending_tuples, reference_cy_census
 
 import wph.census
-from wph.census import _dominated_lasts
+from wph.census import _lead_pairs, _prefixes
 
 from wph import (
     DEFAULT_CANDIDATE_CAP,
@@ -108,53 +107,63 @@ def singleton_passes(ws, i):
     return d % a == 0 or any(j != i and (d - b) % a == 0 for j, b in enumerate(ws))
 
 
-class TestDominanceLemma:
-    """The dominance test of the census on every sorted Calabi-Yau tuple."""
+class TestLeadPairs:
+    """The (lead, last) pairs of a prefix against every pair in range."""
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5])
+    def test_pairs_meet_the_singleton_conditions_at_the_lead_and_at_a1(self, length):
+        rng = random.Random(length)
+        checked = kept = 0
+        for _ in range(8):
+            max_degree = rng.randrange(length + 2, 70)
+            top = min(rng.randrange(1, max_degree), max_degree - length)
+            prefixes = list(_prefixes(length, top, max_degree))
+            for prefix, psum, _, last_max in rng.sample(prefixes, min(12, len(prefixes))):
+                seen, by_last = _lead_pairs(prefix, psum, top, last_max, max_degree, 0, 10**9)
+                got = {(q, e) for e, leads in by_last.items() for q in leads}
+                assert all(len(set(leads)) == len(leads) for leads in by_last.values())
+                in_range = [
+                    (q, e)
+                    for q in range(prefix[0], top + 1)
+                    for e in range(1, last_max + 1)
+                    if q + psum + e <= max_degree
+                ]
+                expected = {
+                    (q, e)
+                    for q, e in in_range
+                    if singleton_passes((q, *prefix, e), 0) and singleton_passes((q, *prefix, e), 1)
+                }
+                assert got == expected, (prefix, top, last_max, max_degree)
+                # The count: one per pair and per b = e (q | psum) or b = 0
+                # or a distinct prefix weight (q | psum - b + e).
+                assert seen == sum(
+                    (psum % q == 0) + sum((psum - b + e) % q == 0 for b in {0, *prefix})
+                    for q, e in in_range
+                )
+                checked += 1
+                kept += len(got)
+        assert checked > 40 and kept > 100
 
     @pytest.mark.parametrize("m, max_degree", [(3, 80), (4, 60), (5, 40), (6, 36)])
-    def test_dominant_tuples_meet_the_equations(self, m, max_degree):
-        checked = dominant = 0
-        for ws in descending_tuples(m, max_degree, max_degree):
-            if not (singleton_passes(ws, 0) and singleton_passes(ws, 1)):
-                continue
-            checked += 1
-            q, a1, *tail = ws
-            s = sum(tail)
-            if m >= 4:
-                assert a1 <= 2 * s, ws
-            if s >= a1:
-                continue
-            dominant += 1
-            witnesses = {0, *tail}
-            assert any(
-                q == a1 + s - b and (a1 == 2 * s - b - b2 or (m == 3 and 2 * s == b + b2))
-                for b in witnesses
-                for b2 in witnesses
-            ), ws
-        assert checked > 500
-        assert dominant > 25
-
-    @pytest.mark.parametrize("tail_length", [1, 2, 3])
-    def test_dominated_lasts_solve_the_equations(self, tail_length):
-        # Every e below the split that some b, b' in {0, e} or the tail
-        # satisfy, and no other; a_1 = 2 (rest) lets every e through.
-        every_e = 0
-        for a1 in range(2, 25):
-            for tail in descending_tuples(tail_length, a1, a1 - 1):
-                rest = sum(tail)
-                hi = a1 - rest - 1
-                expected = [
-                    e
-                    for e in range(1, hi + 1)
-                    if any(
-                        a1 == 2 * (rest + e) - b - b2
-                        for b in (0, e, *tail)
-                        for b2 in (0, e, *tail)
-                    )
-                ]
-                assert list(_dominated_lasts(a1, rest, tail, hi)) == expected, (a1, tail)
-                every_e += a1 == 2 * rest and hi > 0
-        assert every_e
+    def test_every_sorted_tuple_of_the_census(self, m, max_degree):
+        # Over all prefixes the kept pairs are exactly the sorted m-tuples
+        # with sum <= max_degree that meet the singleton conditions at the
+        # lead and at a_1.
+        length = m - 1
+        top = max_degree - length
+        got = {
+            (q, *prefix, e)
+            for prefix, psum, _, last_max in _prefixes(length, top, max_degree)
+            for e, leads in _lead_pairs(prefix, psum, top, last_max, max_degree, 0, 10**9)[1].items()
+            for q in leads
+        }
+        expected = {
+            ws
+            for ws in descending_tuples(m, max_degree, max_degree)
+            if singleton_passes(ws, 0) and singleton_passes(ws, 1)
+        }
+        assert got == expected
+        assert len(expected) > 500
 
 
 class TestEllipticCensus:
@@ -412,28 +421,28 @@ class TestResourceCap:
             census(2, max_degree=300, candidate_cap=50)
 
     def test_cy_cap_threshold(self):
-        # The steps of this census number 728: 127 prefixes walked, 303
-        # smaller-weight tuples visited (of 478 with sum plus largest within
-        # the bound; the dominance test skips the other 175 uncounted) and
-        # 298 leads kept by the singleton conditions at the lead and at a_1.
-        # The tests that reject leads after those two do not lower that count.
-        assert len(census(2, max_degree=40, candidate_cap=728)) == 87
+        # The steps of this census number 1341: 127 prefixes walked and 1214
+        # (lead, last) pairs generated by the singleton condition at the lead
+        # (435 distinct pairs pass the one at a_1). The tests that reject
+        # pairs after those two do not lower that count.
+        assert len(census(2, max_degree=40, candidate_cap=1341)) == 87
         with pytest.raises(ResourceCapError):
-            census(2, max_degree=40, candidate_cap=727)
+            census(2, max_degree=40, candidate_cap=1340)
 
     def test_cy_cap_threshold_at_the_leads(self):
-        # The elliptic census to 30 takes 138 steps: 14 prefixes, 75
-        # smaller-weight tuples and 49 leads. Its last step counted is a lead,
-        # so one below the threshold passes every prefix and tuple check and
-        # fails at the leads.
-        assert len(census(1, max_degree=30, candidate_cap=138)) == 3
-        with pytest.raises(ResourceCapError) as info:
-            census(1, max_degree=30, candidate_cap=137)
-        frame = [
-            f for f in traceback.extract_tb(info.value.__traceback__)
-            if f.name == "_enumerate_calabi_yau"
-        ][-1]
-        assert linecache.getline(frame.filename, frame.lineno - 2).strip() == "seen += len(leads)"
+        # The elliptic census to 30 takes 165 steps: 14 prefixes and 151
+        # (lead, last) pairs, the last ones counted at the last prefix.
+        assert len(census(1, max_degree=30, candidate_cap=165)) == 3
+        with pytest.raises(ResourceCapError):
+            census(1, max_degree=30, candidate_cap=164)
+
+    def test_cy_cap_threshold_every_lead(self):
+        # Without the quasismooth filter every (lead, last) pair in range
+        # counts: 14 prefixes and 785 pairs.
+        found = census(1, max_degree=30, require_quasismooth=False, candidate_cap=799)
+        assert len(found) == 260
+        with pytest.raises(ResourceCapError):
+            census(1, max_degree=30, require_quasismooth=False, candidate_cap=798)
 
     def test_cy_past_the_subset_variable_cap(self):
         # 25 weights: no Calabi-Yau tuple has d <= 24, and at 25 the first
