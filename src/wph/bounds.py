@@ -129,11 +129,6 @@ class JordanTable:
                 raise ValidationError(
                     f"entry for N={n} is pinned to {_PINNED_ENTRIES[n].value}, got {value}"
                 )
-            if "#" in entry.provenance or "\n" in entry.provenance:
-                raise ValidationError(
-                    f"provenance for N={n} may not contain '#' or newlines "
-                    f"(reserved by the table format)"
-                )
             merged[n] = JordanEntry(value, entry.provenance)
         object.__setattr__(self, "entries", MappingProxyType(merged))
 
@@ -154,12 +149,6 @@ class JordanTable:
     def value(self, n: int) -> Fraction:
         return self.entry(n).value
 
-    def dump(self) -> str:
-        """One line per explicit entry: ``N value provenance``."""
-        return "".join(
-            f"{n} {e.value} {e.provenance}\n" for n, e in sorted(self.entries.items())
-        )
-
     @classmethod
     def parse(cls, text: str) -> "JordanTable":
         """Parse the plain-text table format; ``#`` starts a comment."""
@@ -179,6 +168,10 @@ class JordanTable:
             seen[n] = lineno
             provenance = parts[2] if len(parts) == 3 else "user-supplied"
             entries[n] = JordanEntry(as_rational(parts[1], where), provenance)
+            try:
+                cls({n: entries[n]})
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
         return cls(entries)
 
     @classmethod

@@ -597,13 +597,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``wph`` argument parser, built once and shared by every call."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit structured JSON")
-    tabled = argparse.ArgumentParser(add_help=False, parents=[shared])
-    tabled.add_argument(
+    family = argparse.ArgumentParser(add_help=False, parents=[shared])
+    family.add_argument(
         "--jordan-table",
         metavar="PATH",
         default=None,
         help=f"weak Jordan constant table file (default: ${JORDAN_TABLE_ENV})",
     )
+    family.add_argument("--weights", required=True, help="comma-separated weights")
+    family.add_argument("--degree", required=True, type=_int_arg)
 
     parser = argparse.ArgumentParser(
         prog="wph",
@@ -615,10 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
-        "check", parents=[tabled], help="classify a (weights, degree) family"
+        "check", parents=[family], help="classify a (weights, degree) family"
     )
-    p_check.add_argument("--weights", required=True, help="comma-separated weights")
-    p_check.add_argument("--degree", required=True, type=_int_arg)
     p_check.set_defaults(func=cmd_check)
 
     p_sym = sub.add_parser(
@@ -657,10 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fermat.set_defaults(func=cmd_fermat)
 
     p_bound = sub.add_parser(
-        "bound", parents=[tabled], help="order bounds for the linear automorphism group"
+        "bound", parents=[family], help="order bounds for the linear automorphism group"
     )
-    p_bound.add_argument("--weights", required=True, help="comma-separated weights")
-    p_bound.add_argument("--degree", required=True, type=_int_arg)
     p_bound.set_defaults(func=cmd_bound)
     return parser
 

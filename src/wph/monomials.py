@@ -26,19 +26,6 @@ def weighted_degree(weights: Sequence[int], exponents: Sequence[int]) -> int:
     return sum(a * e for a, e in zip(weights, exponents))
 
 
-def iter_monomials(w: WeightSystem, degree: int) -> Iterator[ExponentVector]:
-    """Lazily, every exponent vector of the given weighted degree, largest-lex first.
-
-    Vectors align with the weight order as given (matching how supports are
-    stored) and come in descending lexicographic order, so a consumer that
-    stops early has seen a prefix of :func:`enumerate_monomials`.
-    """
-    degree = as_int(degree, "degree")
-    if degree < 0:
-        raise ValidationError("degree must be nonnegative")
-    return _descending_monomials(w.original, degree)
-
-
 def _descending_monomials(weights: Sequence[int], degree: int) -> Iterator[ExponentVector]:
     """Odometer over all coordinates but the last two, which come in bulk.
 
@@ -81,12 +68,15 @@ def enumerate_monomials(
 ) -> list[ExponentVector]:
     """All exponent vectors of the given weighted degree, largest-lex first.
 
-    The rows of :func:`iter_monomials`, as a list; stable enough to freeze in
-    golden files. Canonicalize the weight system first for the canonical
-    ordering. Raises ResourceCapError when the piece has more than ``cap``
-    vectors, after reading ``cap + 1`` of them.
+    Vectors align with the weight order as given (matching how supports are
+    stored); the order is stable enough to freeze in golden files. Raises
+    ResourceCapError when the piece has more than ``cap`` vectors, after
+    reading ``cap + 1`` of them.
     """
-    return list(_capped(iter_monomials(w, degree), cap))
+    degree = as_int(degree, "degree")
+    if degree < 0:
+        raise ValidationError("degree must be nonnegative")
+    return list(_capped(_descending_monomials(w.original, degree), cap))
 
 
 def _capped(rows: Iterator[ExponentVector], cap: int) -> Iterator[ExponentVector]:

@@ -42,12 +42,12 @@ the singleton masks start from the empty semigroup, and the masks of one
 size are kept until the next size is built. Degrees above
 ``REPRESENTABLE_TARGET_CAP`` raise :class:`ResourceCapError` once the
 singletons are tested, before the certificate or any mask is built. A
-subset whose mask lacks d counts its outside witnesses by popcounts against
-fixed masks of the bits d - a_j, and builds the witness tuple only when it
-fails. By default the scan stops at the first failure; with
-``diagnostics=True`` it runs to the end and reports every failing subset.
-A passing family that has no certificate visits every subset either way.
-Subset indices refer to the canonical (non-increasing) weight order.
+subset whose mask lacks d reads its outside witnesses off the bits d - a_j
+of that mask, one tuple that both counts and reports them. By default the
+scan stops at the first failure; with ``diagnostics=True`` it runs to the
+end and reports every failing subset. A passing family that has no
+certificate visits every subset either way. Subset indices refer to the
+canonical (non-increasing) weight order.
 """
 
 from __future__ import annotations
@@ -139,14 +139,6 @@ def _failing_subsets(weights, d):
         return
     full = (1 << (d + 1)) - 1
     masks = [_closed(1, a, d, full) for a in weights[:-1]]
-    # One bit d - a per index with a <= d, the k-th index of a weight value
-    # in layers[k]. An index inside a subset whose mask lacks d never
-    # witnesses (d - a and a would sum to d), so popcounts count witnesses.
-    layers = [0] * m
-    for k, a in enumerate(weights):
-        if a <= d:
-            layers[weights[:k].count(a)] |= 1 << (d - a)
-    layers = [t for t in layers if t]
     for size in range(2, m + 1):
         kept = []
         for parent, mask in zip(combinations(range(m - 1), size - 1), masks):
@@ -162,10 +154,10 @@ def _failing_subsets(weights, d):
                     kept.append(child)
                 if (child >> d) & 1:
                     continue
-                if sum([(child & t).bit_count() for t in layers]) < size:
-                    witnesses = tuple(
-                        k for k, a in enumerate(weights) if a <= d and (child >> (d - a)) & 1
-                    )
+                # An index inside the subset never witnesses: d - a and a
+                # would sum to d.
+                witnesses = tuple(k for k, gap in gaps if (child >> gap) & 1)
+                if len(witnesses) < size:
                     yield SubsetDiagnostic(parent + (j,), False, witnesses, size)
         masks = kept
 

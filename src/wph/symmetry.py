@@ -53,7 +53,7 @@ from .monomials import (
     ExponentVector,
     PolynomialSupport,
     _capped,
-    iter_monomials,
+    _descending_monomials,
     witness_rows,
 )
 from .quasismooth import quasismooth_exists
@@ -256,7 +256,7 @@ def _forced_central_group(
     """:func:`forced_central_group` for a family already known to pass the
     quasismooth criterion."""
     weights, d = fam.weights.canonical, fam.degree
-    rows = _capped(iter_monomials(fam.weights.canonicalized(), d), monomial_cap)
+    rows = _capped(_descending_monomials(weights, d), monomial_cap)
     basis = _row_lattice_basis(rows, len(weights), d // gcd(d, *weights))
     free_rank = len(weights) - len(basis)
     if free_rank:

@@ -115,10 +115,6 @@ class WeightSystem:
         """Greatest common divisor of the weights; 1 when they share no factor."""
         return gcd(*self.original)
 
-    def canonicalized(self) -> "WeightSystem":
-        """The same weights with the canonical order as the stored order."""
-        return WeightSystem(self.canonical)
-
     def __repr__(self) -> str:
         return f"WeightSystem({list(self.original)!r})"
 

@@ -142,6 +142,10 @@ CASES = {
         "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table",
         "inputs/jordan_repeated_n.txt",
     ],
+    "error_jordan_table_pinned": [
+        "check", "--weights", "1,1,1", "--degree", "4", "--jordan-table",
+        "inputs/jordan_pinned.txt",
+    ],
     "error_support_repeated_key": ["symmetry", "inputs/repeated_key.json", "--json"],
     # a misspelled optional key: "coefficents"
     "error_support_unknown_key": ["symmetry", "inputs/unknown_key.json", "--json"],

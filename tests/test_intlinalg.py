@@ -26,7 +26,6 @@ from wph import (
     worst_case_constant,
 )
 from wph.intlinalg import _check_target_cap, _closed, invariant_factors
-from wph.monomials import iter_monomials
 
 from conftest import oracles
 
@@ -277,7 +276,7 @@ class TestRepresentability:
         (worst_case_constant, (2.0, JordanTable())),
         (WeightSystem, ([2, 2.5],)),
         (HypersurfaceFamily, ([1, 1], 2.0)),
-        (iter_monomials, (WeightSystem([1, 1]), 2.0)),
+        (enumerate_monomials, (WeightSystem([1, 1]), 2.0)),
     ],
     ids=[
         "fermat_prediction-(2.9, 4.2)",
@@ -288,7 +287,7 @@ class TestRepresentability:
         "worst_case_constant-(2.0, JordanTable())",
         "WeightSystem-([2, 2.5],)",
         "HypersurfaceFamily-([1, 1], 2.0)",
-        "iter_monomials-(WeightSystem([1, 1]), 2.0)",
+        "enumerate_monomials-(WeightSystem([1, 1]), 2.0)",
     ],
 )
 def test_primitives_reject_non_integers(call, args):
@@ -304,7 +303,7 @@ def test_primitives_reject_non_integers(call, args):
         (lambda: JordanTable({0: JordanEntry(360, "fixture")}), "key must be >= 1"),
         (lambda: worst_case_constant(-1, JordanTable()), "dimension must be >= 0"),
         (lambda: IntMatrix.from_rows([]), "at least one row"),
-        (lambda: iter_monomials(WeightSystem([1, 1]), -1), "degree must be nonnegative"),
+        (lambda: enumerate_monomials(WeightSystem([1, 1]), -1), "degree must be nonnegative"),
         (
             lambda: WeightedPolynomial([1, 1], -1, [(1, (1, 1))]),
             "polynomial degree must be nonnegative",
@@ -316,7 +315,7 @@ def test_primitives_reject_non_integers(call, args):
     ],
     ids=[
         "max_weight-0", "candidate_cap-0", "table-key-0", "worst_case-dim-minus-1",
-        "from_rows-empty", "iter_monomials-degree-minus-1",
+        "from_rows-empty", "enumerate_monomials-degree-minus-1",
         "polynomial-degree-minus-1", "fermat_support-dim-0", "weights-int",
         "weights-zero", "family-degree-0",
     ],

@@ -18,7 +18,7 @@ from wph import (
 )
 
 import wph.monomials
-from wph.monomials import _checked_rows, _derivative_terms, is_witness_row, iter_monomials
+from wph.monomials import _checked_rows, _derivative_terms, is_witness_row
 
 from conftest import oracles, random_weighted_polynomial
 
@@ -63,7 +63,7 @@ class TestEnumeration:
             ws = [rng.randint(1, 9) for _ in range(rng.randint(2, 6))]
             d = rng.choice((0, rng.randint(1, 12), rng.randint(1, 30)))
             expected = oracles.graded_piece(ws, d)[::-1]
-            assert list(iter_monomials(WeightSystem(ws), d)) == expected, (ws, d)
+            assert enumerate_monomials(WeightSystem(ws), d) == expected, (ws, d)
             zero_degree += d == 0
             empty += not expected
         assert zero_degree and empty

@@ -27,7 +27,6 @@ class TestWeightSystem:
         assert w.original == (25, 36, 30, 31)
         assert w.canonical == (36, 31, 30, 25)
         assert w.n == 2
-        assert w.canonicalized().original == (36, 31, 30, 25)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
