@@ -29,9 +29,11 @@ conditions and neither is tested.
 Both searches decide on raw canonical tuples and build a WeightSystem and a
 HypersurfaceFamily only for the families emitted. A candidate is quasismooth
 iff ``_failing_subsets`` of ``wph.quasismooth``, the core of
-``quasismooth_exists``, yields nothing; above 24 weights the first candidate
-decided raises ResourceCapError. The other predicates hold by construction
-or are tested exactly:
+``quasismooth_exists``, yields nothing. Above 24 weights that raises
+ResourceCapError: the Calabi-Yau search raises before its walk, since the
+all-ones tuple is among its candidates whenever there are any, and the
+generic search at the first candidate it decides. The other predicates
+hold by construction or are tested exactly:
 
 * no Calabi-Yau candidate is a linear cone. Proof: R >= 1, so
   d = a_0 + R > a_0, and a_0 is the largest weight; a cone needs a weight
@@ -69,7 +71,7 @@ from itertools import combinations_with_replacement, repeat
 from math import gcd, lcm
 
 from .errors import ResourceCapError, ValidationError
-from .quasismooth import _failing_subsets
+from .quasismooth import _check_variable_count, _failing_subsets
 from .weights import CanonicalKind, HypersurfaceFamily, WeightSystem, as_int, omit_one_gcds
 
 DEFAULT_CANDIDATE_CAP = 50_000_000
@@ -202,6 +204,10 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
     if top < 1:
         return found
     qs, wf = c.require_quasismooth, c.require_well_formed
+    if qs:
+        # The all-ones tuple is in range, so some candidate reaches the
+        # subset criterion: raise before the walk, not at that candidate.
+        _check_variable_count(c.variables)
     # With one smaller weight every lead passes both singleton conditions.
     every_lead = not qs or length == 1
     cap, max_degree = c.candidate_cap, c.max_degree

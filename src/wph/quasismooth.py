@@ -107,6 +107,14 @@ def _distinct_pointers(targets):
     return all(_claim(s, targets, owner, set()) for s in range(len(targets)))
 
 
+def _check_variable_count(m: int) -> None:
+    """Raise if the subset criterion cannot decide a family of ``m`` weights."""
+    if m > MAX_SUBSET_VARIABLES:
+        raise ResourceCapError(
+            f"subset criterion limited to {MAX_SUBSET_VARIABLES} variables, got {m}"
+        )
+
+
 def _failing_subsets(weights, d):
     """Failing subsets of the criterion, as diagnostics in (size, lex) order.
 
@@ -114,10 +122,7 @@ def _failing_subsets(weights, d):
     the masks of subsets that can be parents (last index below m - 1) are kept.
     """
     m = len(weights)
-    if m > MAX_SUBSET_VARIABLES:
-        raise ResourceCapError(
-            f"subset criterion limited to {MAX_SUBSET_VARIABLES} variables, got {m}"
-        )
+    _check_variable_count(m)
     if d in weights:
         return
     # One divisibility table serves the singletons and the pointers. An

@@ -16,6 +16,17 @@ and exits 1 if there is one:
     PYTHONPATH=src python tests/golden_cases.py
 
 ``tests/test_golden.py`` runs the same cases under pytest and records them.
+
+The corpus is the one record of the CLI's output: a command recorded here
+gets no second test in ``tests/test_cli.py``, which keeps only what the
+corpus cannot express (monkeypatched work counts, out-of-memory and
+internal errors, ``WPH_JORDAN_TABLE``, parametrized malformed inputs, the
+JSON writer's property tests, and unrecorded commands). After a deliberate
+change of output, record the corpus again with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of ``tests/golden``.
 """
 
 from __future__ import annotations
@@ -163,7 +174,7 @@ CASES = {
     "error_generic_pair_cap": [
         "enumerate", "--dim", "4000000", "--max-weight", "100000", "--max-degree", "3",
     ],
-    # 1 001 smaller weights walked without recursion, then the variable cap
+    # 1 002 weights: the variable cap, checked before the census walks them
     "error_cy_subset_variable_cap": [
         "enumerate", "--dim", "1000", "--canonical", "cy", "--max-degree", "1003",
     ],

@@ -445,8 +445,8 @@ class TestResourceCap:
             census(1, max_degree=30, require_quasismooth=False, candidate_cap=798)
 
     def test_cy_past_the_subset_variable_cap(self):
-        # 25 weights: no Calabi-Yau tuple has d <= 24, and at 25 the first
-        # candidate, P(1^25), meets the subset criterion's variable cap.
+        # 25 weights: no Calabi-Yau tuple has d <= 24, and from 25 on P(1^25)
+        # is a candidate that meets the subset criterion's variable cap.
         assert census(23, max_degree=24) == []
         with pytest.raises(ResourceCapError, match="limited to 24 variables, got 25"):
             census(23, max_degree=25)
@@ -454,6 +454,16 @@ class TestResourceCap:
         found = census(23, max_degree=30, require_quasismooth=False)
         assert len(found) == 19
         assert all(len(fam.weights) == 25 and is_well_formed(fam.weights) for fam in found)
+
+    def test_cy_variable_cap_before_the_walk(self, monkeypatch):
+        # The cap is checked before any prefix is walked, so a census with
+        # many weights fails at once and not at its first decided candidate.
+        def walked(*args):
+            pytest.fail("the prefix walk ran")
+
+        monkeypatch.setattr(wph.census, "_prefixes", walked)
+        with pytest.raises(ResourceCapError, match="limited to 24 variables, got 32"):
+            census(30, max_degree=40)
 
     def test_generic_cap_threshold(self):
         # C(5 + 2, 3) = 35 weight tuples times 14 degrees: 490 pairs.

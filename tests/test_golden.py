@@ -3,6 +3,8 @@
 After a deliberate change of output, record the corpus again with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of ``tests/golden``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,21 @@ def in_golden(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, in_golden):
-    assert invoke(CASES[name]) == recorded(name)
+    code, out, err = invoke(CASES[name])
+    assert (code, out, err) == recorded(name)
+    if code == 0 and "--json" in CASES[name]:
+        # The --json writer emits what json.dumps(indent=2, sort_keys=True) does.
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_corpus_covers_every_subcommand_and_exit_code():
+    """Each subcommand has a recorded text case and a recorded ``--json``
+    case that succeed, and the corpus records exit codes 0, 2 and 3."""
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    succeeding = {(argv[0], "--json" in argv) for name, argv in CASES.items() if codes[name] == 0}
+    subcommands = ("check", "symmetry", "enumerate", "fermat", "bound")
+    assert succeeding == {(cmd, as_json) for cmd in subcommands for as_json in (False, True)}
+    assert {0, 2, 3} <= set(codes.values())
 
 
 def test_corpus_has_no_stray_files():
