@@ -130,7 +130,9 @@ def _prefixes(length: int, top: int, max_degree: int):
     """(prefix, sum, gcd, largest last weight) for the smaller weights but the
     last, over the tuples with 2 a_1 + a_2 + ... <= max_degree, in lex order.
     An explicit stack, not recursion, so that no length meets the recursion
-    limit; children are pushed largest first."""
+    limit; children are pushed largest first. Once the largest child is 1 every
+    later weight is 1, and the ones are appended in one step, so a walk of many
+    weights stays linear in their count."""
     if length == 1:
         yield (), 0, 0, min(top, max_degree // 2)
         return
@@ -144,9 +146,14 @@ def _prefixes(length: int, top: int, max_degree: int):
         if left == 1:
             yield prefix, total, g, min(prefix[-1], room)
             continue
+        largest = min(prefix[-1], room - left + 1)
+        if largest == 1:
+            ones = left - 1
+            stack.append((prefix + (1,) * ones, total + ones, 1, room - ones))
+            continue
         stack.extend(
             (prefix + (e,), total + e, gcd(g, e), room - e)
-            for e in range(min(prefix[-1], room - left + 1), 0, -1)
+            for e in range(largest, 0, -1)
         )
 
 

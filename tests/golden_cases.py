@@ -122,6 +122,10 @@ CASES = {
         "enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "20",
         "--no-quasismooth",
     ],
+    "enumerate_cy_no_well_formed_text": [
+        "enumerate", "--dim", "1", "--canonical", "cy", "--max-degree", "12",
+        "--no-well-formed",
+    ],
     "enumerate_fano_max_weight_text": [
         "enumerate", "--dim", "1", "--canonical", "fano", "--max-degree", "12",
         "--max-weight", "5",
