@@ -150,6 +150,9 @@ CASES = {
     "error_missing_field": ["symmetry", "inputs/missing_degree.json"],
     "error_decimal_coefficient": ["symmetry", "inputs/decimal_coefficient.json"],
     "error_fermat_degree": ["fermat", "--dim", "1", "--degree", "2", "--json"],
+    # census bounds out of range: one line from the library's validation
+    "error_enumerate_negative_dim": ["enumerate", "--dim", "-1"],
+    "error_enumerate_zero_max_degree": ["enumerate", "--dim", "1", "--max-degree", "0"],
     "error_support_not_json": ["symmetry", "inputs/not_json.json"],
     "error_support_top_level_list": ["symmetry", "inputs/top_level_list.json"],
     "error_support_file_missing": ["symmetry", "missing.json"],

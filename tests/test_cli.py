@@ -236,6 +236,18 @@ class TestEnumerate:
         assert code == 0
         assert out == ""
 
+    def test_k3_census_saturates(self, capsys):
+        """The README's saturation recipe: the K3 census at degree 300 and
+        at 400 print the same 95 lines."""
+        runs = [
+            run(capsys, "enumerate", "--dim", "2", "--canonical", "cy", "--max-degree", top)
+            for top in ("300", "400")
+        ]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 95
+
 
 class TestBound:
     def test_curve_includes_curve_bound(self, capsys):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +56,28 @@ def test_corpus_covers_every_subcommand_and_exit_code():
     subcommands = ("check", "symmetry", "enumerate", "fermat", "bound")
     assert succeeding == {(cmd, as_json) for cmd in subcommands for as_json in (False, True)}
     assert {0, 2, 3} <= set(codes.values())
+
+
+def _readme_commands() -> dict[str, str]:
+    """{golden case: command} from the README's table of headline commands."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.partition("## Reproducing the headline numbers")[2].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(wph [^`]*)` \| `(\w+)` \|", section, re.M)
+    return {case: command for command, case in rows}
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_headline_commands():
+    assert {"symmetry_klein_text", "check_flagship_text"} <= set(README_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_is_the_golden_argv(name):
+    """Each command the README lists runs exactly its golden case's argv, so
+    the recorded output is what the reader sees."""
+    assert shlex.split(README_COMMANDS[name]) == ["wph", *CASES[name]]
 
 
 def test_corpus_has_no_stray_files():
