@@ -4,27 +4,28 @@ The Calabi-Yau search (degree equal to the weight sum) is the workhorse: it
 reproduces the classical lists of elliptic and K3 hypersurface families. It
 walks sorted prefixes a_1 >= a_2 >= ... of the smaller weights (all but the
 last, with sum psum) and completes each with pairs of a lead a_0 = q >= a_1
-and a last weight e, so d = q + R with R = psum + e. Four tests prune on the
+and a last weight e, so d = q + R with R = psum + e. Three tests prune on the
 raw integers, before any WeightSystem is built:
 
-* the singleton condition at the lead: q divides R - b for b = 0 or a
-  smaller weight. With b = e that is q | psum, and e is free. Otherwise
-  q k = psum - b + e for some k >= 1, and for fixed (b, k) the leads run
-  over one range (q >= a_1, q at most the weight bound, e in range and
-  (k + 1) q + b <= max_degree), each q fixing e. These ranges generate
-  every pair that meets the condition, and only those;
-* the singleton condition at a_1, one residue test per pair generated: a_1
-  divides d - b for b = 0, a prefix weight, q or e;
+* the lead condition, the singleton condition at the lead, by ranges: q
+  divides R - b for b = 0 or a smaller weight. With b = e that is q | psum,
+  and e is free. Otherwise q k = psum - b + e for some k >= 1, and for fixed
+  (b, k) the leads run over one range (q >= a_1, q at most the weight bound,
+  e in range and (k + 1) q + b <= max_degree), each q fixing e. These ranges
+  generate every pair that meets the condition, and only those;
+* the singleton condition at every smaller weight a: a divides d - b for
+  b = q or a smaller weight (b = a says a | d). With r = R mod a, b = q is
+  r = 0 and a smaller weight b is (q + r) mod a = b mod a. ``_lead_pairs``
+  applies it at a_1 to each pair it generates, and the loop over the last
+  weights e applies it at the later smaller weights and at e;
 * well-formedness: the smaller weights must be coprime, and a_0 must be
-  coprime to the lcm of their omit-one gcds;
-* the singleton condition at every other smaller weight a: a must divide d
-  or d minus another weight.
+  coprime to the lcm of their omit-one gcds.
 
-The pairs kept by the first two tests are grouped by e for the other two.
+The pairs kept by ``_lead_pairs`` are grouped by e for the other tests.
 The quasismooth tests apply only under ``require_quasismooth``, the
 well-formedness tests only under ``require_well_formed``. With a single
-smaller weight a_1 divides R = a_1, so every lead passes both singleton
-conditions and neither is tested.
+smaller weight a_1 divides R = a_1, so every lead passes the lead condition
+and the one at a_1, and neither is tested.
 
 Both searches decide on raw canonical tuples and build a WeightSystem and a
 HypersurfaceFamily only for the families emitted. A candidate is quasismooth
@@ -60,15 +61,14 @@ for each (b, k) that generates it; without the quasismooth filter, or with a
 single smaller weight, it counts each pair in range. The search raises
 ResourceCapError once the count passes the cap, before it makes the pairs
 counted. The generic search raises up front when its (weights, degree) pairs
-number more than the cap, a count it stops building once it passes the cap
-(``_check_pair_count``).
+number more than the cap (``_check_pair_count``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ResourceCapError, ValidationError
 from .quasismooth import _check_variable_count, _failing_subsets
@@ -190,7 +190,8 @@ def _lead_pairs(prefix, psum, top, last_max, max_degree, seen, cap):
     seen += sum(len(lasts) for _, lasts in ranges)
     if seen > cap:
         raise _cap_exceeded(cap)
-    # a_1 divides d - b for b = 0, a prefix weight, q or e.
+    # The singleton condition at a_1, written with d: a_1 divides d - b for
+    # b = 0, a prefix weight, q or e.
     at_first = {b % first for b in values}
     kept = {
         (q, e)
@@ -236,35 +237,28 @@ def _enumerate_calabi_yau(c: SearchConstraints) -> list[HypersurfaceFamily]:
         if not by_last:
             continue
         if qs:
-            values = sorted(set(prefix), reverse=True)
-            # a_1 is tested in _lead_pairs, the other prefix weights here.
-            residues = [(a, {b % a for b in values}) for a in values[1:]]
+            # _lead_pairs tests a_1, the loop below every later smaller weight.
+            later = sorted(set(prefix), reverse=True)[1:]
         omitted = None
         for e, leads in by_last.items():
             if wf and gcd(pgcd, e) != 1:
                 continue
             total = psum + e
+            smalls = prefix + (e,)
             if qs:
-                # Each smaller weight a divides d, or d - b for another weight
-                # b; with b = e that is a | q + psum.
-                for a, allowed in residues:
-                    r = total % a
-                    if r:
-                        leads = [q for q in leads if (q + r) % a in allowed or (q + psum) % a == 0]
+                # The singleton condition at a, with r = total % a: a divides
+                # d - q (r = 0) or d - b for b a smaller weight (b = a: a | d).
+                for a in (*later, e):
+                    if r := total % a:
+                        allowed = {b % a for b in smalls}
+                        leads = [q for q in leads if (q + r) % a in allowed]
                         if not leads:
                             break
-                else:
-                    r = psum % e
-                    if r:
-                        allowed = {b % e for b in values}
-                        allowed.add(0)
-                        leads = [q for q in leads if (q + r) % e in allowed]
             if wf and leads:
                 if omitted is None:
                     omitted = set(omit_one_gcds(prefix))
                 coprime_to = lcm(pgcd, *[gcd(g, e) for g in omitted])
                 leads = [q for q in leads if gcd(q, coprime_to) == 1]
-            smalls = prefix + (e,)
             for q in leads:
                 ws = (q,) + smalls
                 if qs and next(_failing_subsets(ws, q + total), None) is not None:
@@ -277,17 +271,13 @@ def _check_pair_count(c: SearchConstraints) -> None:
     """Raise if the generic search has more (weights, degree) pairs than the cap.
 
     They number C(a + b, b) * max_degree, with {a, b} = {m, max_weight - 1}
-    and b the smaller. The partial binomials C(a + i, i) grow with i, so the
-    loop stops at the first one whose pairs pass the cap."""
+    and b the smaller. As a >= b, C(a + b, b) >= 2^b, so the pairs pass the
+    cap once b reaches its bit length, and below that the binomial is small."""
     a, b = sorted((c.variables, c.effective_max_weight - 1), reverse=True)
-    pairs = c.max_degree
-    for i in range(1, b + 1):
-        if pairs > c.candidate_cap:
-            break
-        pairs = pairs * (a + i) // i
-    if pairs > c.candidate_cap:
+    cap = c.candidate_cap
+    if b >= cap.bit_length() or comb(a + b, b) * c.max_degree > cap:
         raise ResourceCapError(
-            f"search would examine more than {c.candidate_cap} (weights, degree) pairs, "
+            f"search would examine more than {cap} (weights, degree) pairs, "
             "the cap; raise the cap or tighten the constraints"
         )
 

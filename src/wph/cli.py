@@ -422,7 +422,7 @@ def build_symmetry_report(support: PolynomialSupport, poly) -> dict:
         minor = distinguished_minor(support)
         cap = Fraction(fam.degree ** len(fam.weights), fam.weight_product)
         report["distinguished_minor"] = {
-            "rows": [list(minor.B.row(i)) for i in range(minor.B.rows)],
+            "rows": minor.B.to_rows(),
             "witnesses": [ch._asdict() for ch in minor.chosen_rows],
             "determinant": minor.determinant,
             "bound": _decimal(cap),

@@ -177,7 +177,8 @@ CASES = {
         "--max-candidates", "50", "--json",
     ],
     "error_fermat_dimension_cap": ["fermat", "--dim", "301", "--degree", "3"],
-    # the pair count has millions of digits: the check stops once it passes
+    # the pair count has millions of digits: the check raises on the smaller
+    # binomial index alone, before it takes any binomial
     "error_generic_pair_cap": [
         "enumerate", "--dim", "4000000", "--max-weight", "100000", "--max-degree", "3",
     ],

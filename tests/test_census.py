@@ -1,11 +1,10 @@
 import json
 import random
 import time
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from conftest import descending_tuples, reference_cy_census
+from conftest import descending_tuples, oracles, reference_cy_census
 
 import wph.census
 from wph.census import _lead_pairs, _prefixes
@@ -54,47 +53,31 @@ def as_pairs(families):
     return [(f.degree, f.weights.canonical) for f in families]
 
 
-def brute_force_cy(
+def brute_force(
     dim,
     max_degree,
+    kind=CanonicalKind.CALABI_YAU,
+    max_weight=None,
     *,
     require_well_formed=True,
     require_quasismooth=True,
     exclude_linear_cones=True,
-    max_weight=None,
 ):
-    """Direct scan of every sorted weight tuple, public predicates only."""
-    m = dim + 2
+    """Every (weights, degree) pair in range, public predicates only. A
+    Calabi-Yau kind tries only d = sum(ws), so only sums <= max_degree."""
+    m, max_weight = dim + 2, max_weight or max_degree
+    cy = kind is CanonicalKind.CALABI_YAU
     out = []
-    for ws in combinations_with_replacement(range(1, max_degree + 1), m):
-        d = sum(ws)
-        if d > max_degree or (max_weight is not None and ws[-1] > max_weight):
-            continue
-        fam = HypersurfaceFamily(tuple(reversed(ws)), d)
-        if exclude_linear_cones and is_linear_cone(fam):
-            continue
-        if require_well_formed and not is_well_formed(fam.weights):
-            continue
-        if require_quasismooth and not quasismooth_exists(fam).exists:
-            continue
-        out.append(fam)
-    out.sort(key=lambda f: (f.degree, f.weights.canonical))
-    return out
-
-
-def brute_force_generic(dim, kind, max_degree, max_weight, **switches):
-    """Every (weights, degree) pair in range, public predicates only."""
-    out = []
-    for ws in combinations_with_replacement(range(1, max_weight + 1), dim + 2):
-        for d in range(1, max_degree + 1):
-            fam = HypersurfaceFamily(tuple(reversed(ws)), d)
+    for ws in descending_tuples(m, max_weight, max_degree if cy else m * max_weight):
+        for d in [sum(ws)] if cy else range(1, max_degree + 1):
+            fam = HypersurfaceFamily(ws, d)
             if kind is not None and canonical_class(fam).kind is not kind:
                 continue
-            if switches["exclude_linear_cones"] and is_linear_cone(fam):
+            if exclude_linear_cones and is_linear_cone(fam):
                 continue
-            if switches["require_well_formed"] and not is_well_formed(fam.weights):
+            if require_well_formed and not is_well_formed(fam.weights):
                 continue
-            if switches["require_quasismooth"] and not quasismooth_exists(fam).exists:
+            if require_quasismooth and not quasismooth_exists(fam).exists:
                 continue
             out.append(fam)
     out.sort(key=lambda f: (f.degree, f.weights.canonical))
@@ -166,18 +149,46 @@ class TestLeadPairs:
         assert len(expected) > 500
 
 
+class TestDecidedTuples:
+    """The tuples the Calabi-Yau census hands to the subset criterion."""
+
+    @pytest.mark.parametrize("dim, max_degree", [(1, 60), (2, 80), (3, 60), (4, 40), (5, 30)])
+    def test_exactly_the_raw_test_survivors(self, dim, max_degree, monkeypatch):
+        # A raw test that passes too many leads changes only the speed, so
+        # the decided tuples themselves are checked: each once, and exactly
+        # the well-formed ones that meet the singleton condition everywhere.
+        decided = []
+        original = wph.census._failing_subsets
+
+        def recorded(ws, d):
+            decided.append(ws)
+            return original(ws, d)
+
+        monkeypatch.setattr(wph.census, "_failing_subsets", recorded)
+        census(dim, max_degree=max_degree)
+        assert len(set(decided)) == len(decided)
+        m = dim + 2
+        expected = {
+            ws
+            for ws in descending_tuples(m, max_degree, max_degree)
+            if oracles.is_well_formed(ws) and all(singleton_passes(ws, i) for i in range(m))
+        }
+        assert set(decided) == expected
+        assert expected
+
+
 class TestAgainstBruteForce:
     def test_cy_dim1(self):
-        assert as_pairs(census(1, max_degree=40)) == as_pairs(brute_force_cy(1, 40))
+        assert as_pairs(census(1, max_degree=40)) == as_pairs(brute_force(1, 40))
 
     def test_cy_dim2(self):
         got = as_pairs(census(2, max_degree=36))
-        expected = as_pairs(brute_force_cy(2, 36))
+        expected = as_pairs(brute_force(2, 36))
         assert got == expected
         assert len(got) > 20
 
     def test_cy_dim0(self):
-        assert as_pairs(census(0, max_degree=20)) == as_pairs(brute_force_cy(0, 20))
+        assert as_pairs(census(0, max_degree=20)) == as_pairs(brute_force(0, 20))
 
     @pytest.mark.parametrize("dim, max_degree", [(0, 20), (1, 30), (2, 44), (3, 30)])
     @pytest.mark.parametrize("well_formed", [True, False])
@@ -192,7 +203,7 @@ class TestAgainstBruteForce:
             exclude_linear_cones=linear_cones,
         )
         got = as_pairs(census(dim, max_degree=max_degree, **switches))
-        assert got == as_pairs(brute_force_cy(dim, max_degree, **switches))
+        assert got == as_pairs(brute_force(dim, max_degree, **switches))
         assert got == reference_cy_census(cy_constraints(dim, max_degree, **switches))
         assert got
 
@@ -206,7 +217,7 @@ class TestAgainstBruteForce:
             census(dim, max_degree=max_degree, max_weight=max_weight,
                    require_quasismooth=quasismooth)
         )
-        expected = brute_force_cy(
+        expected = brute_force(
             dim, max_degree, max_weight=max_weight, require_quasismooth=quasismooth
         )
         assert got == as_pairs(expected)
@@ -232,7 +243,7 @@ class TestAgainstBruteForce:
             exclude_linear_cones=linear_cones,
         )
         got = census(dim, kind, max_degree=max_degree, max_weight=max_weight, **switches)
-        expected = brute_force_generic(dim, kind, max_degree, max_weight, **switches)
+        expected = brute_force(dim, max_degree, kind, max_weight, **switches)
         assert as_pairs(got) == as_pairs(expected)
         assert all(f.weights.original == f.weights.canonical for f in got)
         # A Fano point P(a, b) in range that is well-formed or quasismooth is
@@ -250,7 +261,7 @@ class TestAgainstReferenceEnumerator:
         # The brute force at dim 2 to 120 takes several seconds; dims 0-3
         # meet it at smaller bounds above.
         if dim > 2:
-            assert got == as_pairs(brute_force_cy(dim, max_degree))
+            assert got == as_pairs(brute_force(dim, max_degree))
         assert got
 
 
@@ -269,18 +280,7 @@ class TestGenericSearch:
             dimension=1, canonical_kind=kind, max_degree=14, max_weight=5
         )
         got = as_pairs(enumerate_families(constraints))
-        expected = []
-        for ws in combinations_with_replacement(range(1, 6), 3):
-            for d in range(1, 15):
-                fam = HypersurfaceFamily(tuple(reversed(ws)), d)
-                if (
-                    canonical_class(fam).kind is kind
-                    and not is_linear_cone(fam)
-                    and is_well_formed(fam.weights)
-                    and quasismooth_exists(fam).exists
-                ):
-                    expected.append((d, fam.weights.canonical))
-        assert got == sorted(expected)
+        assert got == as_pairs(brute_force(1, 14, kind, 5))
         assert got
         # Only degrees on the kind's side of the weight sum reach the decision.
         assert tried
@@ -368,10 +368,16 @@ class TestResourceCap:
         assert enumerate_families(SearchConstraints(**fields, candidate_cap=490))
         with pytest.raises(ResourceCapError, match="more than 489 "):
             enumerate_families(SearchConstraints(**fields, candidate_cap=489))
+        # C(2 + 2, 2) = 6 pairs at max weight 3 and degree 1: the smaller
+        # index 2 is one below the bit length of the cap 6, and takes the
+        # binomial.
+        assert census(0, None, max_weight=3, max_degree=1, candidate_cap=6) == []
+        with pytest.raises(ResourceCapError, match="more than 5 "):
+            census(0, None, max_weight=3, max_degree=1, candidate_cap=5)
 
     def test_generic_cap_check_is_bounded(self):
-        # The exact pair count has millions of digits; the check stops at the
-        # second factor of the binomial.
+        # The exact pair count has millions of digits; the smaller binomial
+        # index, 99 999, passes the cap's bit length, so no binomial is taken.
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match="more than 50000000 "):
             census(4_000_000, None, max_weight=100_000, max_degree=3)
